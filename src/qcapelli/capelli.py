@@ -14,19 +14,10 @@ import time
 from fractions import Fraction
 
 from . import weyl
-from .ncalg import (
-    NCMatrix,
-    NCPoly,
-    copy_up,
-    embed_tail_nc,
-    gen_matrix,
-    mat_mul,
-    mat_scalar_mul,
-    r_trace_nc,
-    scalar_mat_mul,
-)
-from .qlinalg import QMatrix, embed, uv_factorize
+from .ncalg import NCPoly, copy_up, gen_matrix
+from .qlinalg import QMatrix, embed, embed_tail, uv_factorize
 from .rewrite import (
+    DegreeCapError,
     complete,
     derive_dd_rules,
     derive_exchange,
@@ -104,7 +95,7 @@ class RewriteContext:
     def system(self, kind, degree):
         degree = max(degree, 2)
         if degree > self.max_degree:
-            raise VerifyError(
+            raise DegreeCapError(
                 "requested completion degree %d exceeds the cap %d"
                 % (degree, self.max_degree))
         got = self._systems.get(kind)
@@ -115,6 +106,10 @@ class RewriteContext:
         return got
 
     def reduce_poly(self, x, degree):
+        """Canonical form of a ring element; a bare scalar or the zero 0
+        (a matrix entry no product reached) is lifted to an NCPoly."""
+        if not isinstance(x, NCPoly):
+            x = NCPoly.from_word("", x)
         return reduce(x, self.system("m", degree), self.system("d", degree),
                       self.table, strategy=self.strategy)
 
@@ -166,7 +161,7 @@ def _report(ctx, identity, params, residuals, sample, timings, details=None):
 
 def matrix_copies(sym, kind, k):
     """X_ov1 .. X_ovk on k tensor legs, X_ov(i+1) = R_i X_ovi R_i^(-1)."""
-    x = embed_tail_nc(gen_matrix(kind, sym.N), k)
+    x = embed_tail(gen_matrix(kind, sym.N), k)
     out = [x]
     for i in range(1, k):
         out.append(copy_up(out[-1], sym.R, sym.R_inv, i))
@@ -195,23 +190,23 @@ def theorem_sides(sym, k, variant="column", alpha=None):
     proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
     mcop = matrix_copies(sym, "m", k)
     dcop = matrix_copies(sym, "d", k)
-    lcop = [mat_mul(a, b) for a, b in zip(mcop, dcop)]
+    lcop = [a * b for a, b in zip(mcop, dcop)]
 
-    lhs = scalar_mat_mul(proj, lcop[0])
+    lhs = proj * lcop[0]
     for i in range(2, k + 1):
         s = shift_value(cfg, i, variant)
         if alpha is not None and i == k:
             s = alpha
-        lhs = mat_mul(lhs, lcop[i - 1].shifted(s))
-    lhs = mat_scalar_mul(lhs, proj)
+        lhs = lhs * lcop[i - 1].shifted(s)
+    lhs = lhs * proj
 
     chain = mcop[0]
     for x in mcop[1:]:
-        chain = mat_mul(chain, x)
+        chain = chain * x
     for x in reversed(dcop):
-        chain = mat_mul(chain, x)
+        chain = chain * x
     sign = 1 if variant == "column" else -1
-    rhs = scalar_mat_mul(proj, chain).scale(cfg.qpow(sign * k * (k - 1)))
+    rhs = (proj * chain).scale(cfg.qpow(sign * k * (k - 1)))
     return lhs, rhs
 
 
@@ -239,8 +234,8 @@ def verify_traced(ctx, k, variant="column"):
     t0 = time.perf_counter()
     lhs, rhs = theorem_sides(sym, k, variant)
     legs = range(1, k + 1)
-    tl = r_trace_nc(lhs, legs, sym.c_matrix)
-    tr = r_trace_nc(rhs, legs, sym.c_matrix)
+    tl = sym.r_trace(lhs, legs)
+    tr = sym.r_trace(rhs, legs)
     t1 = time.perf_counter()
     res = ctx.reduce_poly(tl - tr, k)
     t2 = time.perf_counter()
@@ -260,9 +255,8 @@ def e_k(sym, k):
         return NCPoly.from_word("", sym.q_config.one())
     chain = None
     for x in matrix_copies(sym, "m", k):
-        chain = x if chain is None else mat_mul(chain, x)
-    return r_trace_nc(scalar_mat_mul(sym.antisym(k), chain),
-                      range(1, k + 1), sym.c_matrix)
+        chain = x if chain is None else chain * x
+    return sym.r_trace(sym.antisym(k) * chain, range(1, k + 1))
 
 
 def _bra_ket(v, X, u):
@@ -284,7 +278,7 @@ def _det_chain(sym, kind):
         copies = list(reversed(copies))
     chain = copies[0]
     for x in copies[1:]:
-        chain = mat_mul(chain, x)
+        chain = chain * x
     return chain
 
 
@@ -295,8 +289,8 @@ def _det_poly(ctx, kind):
     m = sym.rank
     chain = _det_chain(sym, kind)
     proj = sym.antisym(m)
-    traced = r_trace_nc(scalar_mat_mul(proj, chain), range(1, m + 1),
-                        sym.c_matrix) * sym.q_config.qpow(m * m)
+    traced = (sym.r_trace(proj * chain, range(1, m + 1))
+              * sym.q_config.qpow(m * m))
     pair = uv_factorize(proj, sym.q_config)
     usual = _bra_ket(pair.v, chain, pair.u)
     gap = ctx.reduce_poly(traced - usual, m)
@@ -363,12 +357,8 @@ def verify_matr_id(ctx):
     proj = sym.antisym(m)
     pair = uv_factorize(proj, sym.q_config)
     scalar = _bra_ket(pair.v, chain, pair.u)
-    lhs = scalar_mat_mul(proj, chain)
-    dim = lhs.dim
-    rhs = NCMatrix(sym.N, m,
-                   [[scalar * proj.rows[i][j] if proj.rows[i][j]
-                     else NCPoly.zero() for j in range(dim)]
-                    for i in range(dim)])
+    lhs = proj * chain
+    rhs = proj.scale(scalar)
     t1 = time.perf_counter()
     residuals, sample = _reduce_matrix(ctx, lhs - rhs, m)
     t2 = time.perf_counter()
@@ -386,12 +376,12 @@ def verify_cap1(ctx):
     t0 = time.perf_counter()
     mcop = matrix_copies(sym, "m", m)
     dcop = matrix_copies(sym, "d", m)
-    lcop = [mat_mul(a, b) for a, b in zip(mcop, dcop)]
-    lhs_mat = scalar_mat_mul(sym.antisym(m), lcop[0])
+    lcop = [a * b for a, b in zip(mcop, dcop)]
+    lhs_mat = sym.antisym(m) * lcop[0]
     for i in range(2, m + 1):
-        lhs_mat = mat_mul(lhs_mat, lcop[i - 1].shifted(
-            shift_value(cfg, i, "column")))
-    lhs = r_trace_nc(lhs_mat, range(1, m + 1), sym.c_matrix)
+        lhs_mat = lhs_mat * lcop[i - 1].shifted(
+            shift_value(cfg, i, "column"))
+    lhs = sym.r_trace(lhs_mat, range(1, m + 1))
     dm = det_r(ctx)
     dd = det_rinv(ctx)
     rhs = (dm * dd) * cfg.qpow(-m)
@@ -413,14 +403,13 @@ def verify_mre(ctx):
     sym = ctx.sym
     N = sym.N
     t0 = time.perf_counter()
-    m1 = embed_tail_nc(gen_matrix("m", N), 2)
-    d1 = embed_tail_nc(gen_matrix("d", N), 2)
-    l1 = mat_mul(m1, d1)
+    m1 = embed_tail(gen_matrix("m", N), 2)
+    d1 = embed_tail(gen_matrix("d", N), 2)
+    l1 = m1 * d1
     R = sym.R
-    rl = scalar_mat_mul(R, l1)
-    lr = mat_scalar_mul(l1, R)
-    lhs = mat_mul(mat_scalar_mul(rl, R), l1) - mat_scalar_mul(
-        mat_mul(lr, l1), R)
+    rl = R * l1
+    lr = l1 * R
+    lhs = rl * R * l1 - lr * l1 * R
     t1 = time.perf_counter()
     residuals, sample = _reduce_matrix(ctx, lhs - (rl - lr), 2)
     t2 = time.perf_counter()
@@ -436,15 +425,15 @@ def verify_re_ideal(ctx):
     N = sym.N
     t0 = time.perf_counter()
     mcop = matrix_copies(sym, "m", 3)
-    d1 = embed_tail_nc(gen_matrix("d", N), 3)
+    d1 = embed_tail(gen_matrix("d", N), 3)
     r2 = embed(sym.R, 2, 3)
-    pair = mat_mul(mcop[1], mcop[2])
-    y = scalar_mat_mul(r2, pair) - mat_scalar_mul(pair, r2)
+    pair = mcop[1] * mcop[2]
+    y = r2 * pair - pair * r2
     r1i = embed(sym.R_inv, 1, 3)
     r2i = embed(sym.R_inv, 2, 3)
     tail = r1i * r2i * r2i * r1i
-    lhs = mat_mul(d1, y)
-    rhs = mat_scalar_mul(mat_mul(y, d1), tail)
+    lhs = d1 * y
+    rhs = y * d1 * tail
     t1 = time.perf_counter()
     residuals, sample = _reduce_matrix(ctx, lhs - rhs, 3)
     t2 = time.perf_counter()
@@ -460,8 +449,8 @@ def verify_h_copy(ctx, p):
     legs = p + 1
     mcop = matrix_copies(sym, "m", legs)
     rp = embed(sym.R, p, legs)
-    pair = mat_mul(mcop[p - 1], mcop[p])
-    diff = scalar_mat_mul(rp, pair) - mat_scalar_mul(pair, rp)
+    pair = mcop[p - 1] * mcop[p]
+    diff = rp * pair - pair * rp
     t1 = time.perf_counter()
     residuals, sample = _reduce_matrix(ctx, diff, 2)
     t2 = time.perf_counter()
@@ -513,8 +502,8 @@ def verify_exchange_general(ctx, p, k):
     t0 = time.perf_counter()
     legs = k
     dcop = matrix_copies(sym, "d", legs)
-    m1 = embed_tail_nc(gen_matrix("m", sym.N), legs)
-    l1 = mat_mul(m1, embed_tail_nc(gen_matrix("d", sym.N), legs))
+    m1 = embed_tail(gen_matrix("m", sym.N), legs)
+    l1 = m1 * embed_tail(gen_matrix("d", sym.N), legs)
     lk = l1
     for i in range(1, k):
         lk = copy_up(lk, sym.R, sym.R_inv, i)
@@ -524,8 +513,8 @@ def verify_exchange_general(ctx, p, k):
     rp_inv = embed(sym.R_inv, p, legs)
     c2 = down * rp_inv * rp_inv * up
     c1 = down * rp_inv * up
-    lhs = mat_mul(dp, lk)
-    rhs = mat_scalar_mul(mat_mul(lk, dp), c2) + mat_scalar_mul(dp, c1)
+    lhs = dp * lk
+    rhs = lk * dp * c2 + dp * c1
     t1 = time.perf_counter()
     residuals, sample = _reduce_matrix(ctx, lhs - rhs, 2)
     t2 = time.perf_counter()
@@ -565,22 +554,18 @@ def verify_shift_scan(ctx, k, alphas=None):
 
 
 def verify_classical(N):
-    """Independent commutative oracle; tries the alternate determinant
-    convention before giving up, and reports which one validates."""
+    """Independent commutative oracle for the documented column
+    convention, which alone gates; the transposed (row) determinant form
+    is recorded as a detail."""
     t0 = time.perf_counter()
     staircase = [N - j for j in range(1, N + 1)]
     report = weyl.capelli_check(N)
-    convention = "column"
-    if not report["holds"]:
-        M = weyl.m_matrix(N)
-        D = weyl.d_matrix(N)
-        rows = weyl.add_diagonal(weyl.mat_product(M, D), staircase)
-        transposed = [[rows[j][i] for j in range(N)] for i in range(N)]
-        alt = (weyl.column_determinant(transposed)
+    M = weyl.m_matrix(N)
+    D = weyl.d_matrix(N)
+    rows = weyl.add_diagonal(weyl.mat_product(M, D), staircase)
+    transposed = [[rows[j][i] for j in range(N)] for i in range(N)]
+    row_gap = (weyl.column_determinant(transposed)
                - weyl.column_determinant(M) * weyl.column_determinant(D))
-        if alt.is_zero():
-            convention = "row"
-            report["holds"] = True
     t1 = time.perf_counter()
     residuals = 0 if (report["holds"] and report["control_fails"]) else 1
     return VerificationReport(
@@ -593,7 +578,8 @@ def verify_classical(N):
         residual_entries=residuals,
         residual_sample=[],
         timings_ms={"total": round(1000 * (t1 - t0), 3)},
-        details={"convention": convention,
+        details={"convention": "column",
+                 "row_form": "pass" if row_gap.is_zero() else "fail",
                  "control_fails": report["control_fails"]},
     )
 
@@ -629,13 +615,12 @@ def verify_classical_consistency(ctx):
     cfg = sym.q_config
     mcop = matrix_copies(sym, "m", m)
     dcop = matrix_copies(sym, "d", m)
-    lcop = [mat_mul(a, b) for a, b in zip(mcop, dcop)]
-    lhs_mat = scalar_mat_mul(sym.antisym(m), lcop[0])
+    lcop = [a * b for a, b in zip(mcop, dcop)]
+    lhs_mat = sym.antisym(m) * lcop[0]
     for i in range(2, m + 1):
-        lhs_mat = mat_mul(lhs_mat, lcop[i - 1].shifted(
-            shift_value(cfg, i, "column")))
-    lhs = ctx.reduce_poly(r_trace_nc(lhs_mat, range(1, m + 1), sym.c_matrix),
-                          m)
+        lhs_mat = lhs_mat * lcop[i - 1].shifted(
+            shift_value(cfg, i, "column"))
+    lhs = ctx.reduce_poly(sym.r_trace(lhs_mat, range(1, m + 1)), m)
     rhs = ctx.reduce_poly((det_r(ctx) * det_rinv(ctx)) * cfg.qpow(-m), m)
 
     staircase = [N - j for j in range(1, N + 1)]

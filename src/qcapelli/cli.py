@@ -284,13 +284,7 @@ def main(argv=None, out=None):
     except (CapacityError, DegreeCapError) as e:
         out.write("resource cap: %s\n" % (e,))
         return EXIT_RESOURCE
-    except VerifyError as e:
-        if "exceeds the cap" in str(e):
-            out.write("resource cap: %s\n" % (e,))
-            return EXIT_RESOURCE
-        out.write("configuration error: %s\n" % (e,))
-        return EXIT_CONFIG
-    except (RewriteError, ScalarError, CatalogError) as e:
+    except (VerifyError, RewriteError, ScalarError, CatalogError) as e:
         out.write("configuration error: %s\n" % (e,))
         return EXIT_CONFIG
     return EXIT_PASS if ok else EXIT_FAIL

@@ -5,26 +5,21 @@ Words are strings: generator m_i^j is the uppercase letter at offset
 same offset from 'a'.  The monomial order is shortlex on (length, string),
 which sorts by total degree first and then places derivative letters
 above position letters (lowercase > uppercase), row-major within a kind.
+
+NCPoly multiplies with exact scalars on both sides, so matrices of
+polynomials are plain qlinalg.QMatrix values: the generating matrices and
+their braided copies below are QMatrix objects with NCPoly entries.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .qlinalg import embed
-from .scalar import backend_of
+from .qlinalg import QMatrix, embed
 
 
 MAX_N = 5  # 26 letters per case bounds the alphabet
 
-Gen = namedtuple("Gen", ["kind", "i", "j"])
-
 
 class NCError(Exception):
-    pass
-
-
-class CounitDomainError(NCError):
     pass
 
 
@@ -36,35 +31,8 @@ def d_char(i, j, N):
     return chr(ord("a") + (i - 1) * N + (j - 1))
 
 
-def char_gen(ch, N):
-    o = ord(ch)
-    if ord("A") <= o < ord("A") + N * N:
-        k = o - ord("A")
-        return Gen("m", k // N + 1, k % N + 1)
-    if ord("a") <= o < ord("a") + N * N:
-        k = o - ord("a")
-        return Gen("d", k // N + 1, k % N + 1)
-    raise NCError("letter %r is outside the N=%d alphabet" % (ch, N))
-
-
-def gen_char(g, N):
-    if g.kind == "m":
-        return m_char(g.i, g.j, N)
-    if g.kind == "d":
-        return d_char(g.i, g.j, N)
-    raise NCError("unknown generator kind %r" % (g.kind,))
-
-
 def word_key(w):
     return (len(w), w)
-
-
-def m_degree(w):
-    return sum(1 for ch in w if ch < "a")
-
-
-def d_degree(w):
-    return sum(1 for ch in w if ch >= "a")
 
 
 class NCPoly:
@@ -152,12 +120,6 @@ class NCPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def words(self):
-        return sorted(self.terms, key=word_key)
-
-    def coeff(self, word):
-        return self.terms.get(word, 0)
-
     def constant(self):
         return self.terms.get("", 0)
 
@@ -170,92 +132,6 @@ class NCPoly:
         return "NCPoly({%s}%s)" % (", ".join(bits), more)
 
 
-def nc_degree(x):
-    """Max position-letter degree and derivative-letter degree over terms."""
-    md = dd = 0
-    for w in x.terms:
-        md = max(md, m_degree(w))
-        dd = max(dd, d_degree(w))
-    return md, dd
-
-
-def counit(x):
-    """Unit-coefficient evaluation killing every derivative generator;
-    not defined on words containing position generators."""
-    acc = 0
-    for w, c in x.terms.items():
-        if any(ch < "a" for ch in w):
-            raise CounitDomainError(
-                "counit is defined on the derivative subalgebra only")
-        if w == "":
-            acc = acc + c
-    return acc
-
-
-class NCMatrix:
-    __slots__ = ("N", "p", "rows")
-
-    def __init__(self, N, p, rows):
-        dim = N ** p
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise NCError("expected a %d x %d matrix" % (dim, dim))
-        self.N = N
-        self.p = p
-        self.rows = rows
-
-    @property
-    def dim(self):
-        return self.N ** self.p
-
-    @classmethod
-    def zeros(cls, N, p):
-        dim = N ** p
-        return cls(N, p, [[NCPoly.zero() for _ in range(dim)] for _ in range(dim)])
-
-    def _compat(self, other):
-        if self.N != other.N or self.p != other.p:
-            raise NCError("mismatched shapes")
-
-    def __add__(self, other):
-        self._compat(other)
-        return NCMatrix(self.N, self.p,
-                        [[a + b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        self._compat(other)
-        return NCMatrix(self.N, self.p,
-                        [[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.rows, other.rows)])
-
-    def __eq__(self, other):
-        if not isinstance(other, NCMatrix):
-            return NotImplemented
-        return (self.N, self.p) == (other.N, other.p) and self.rows == other.rows
-
-    def is_zero(self):
-        return all(not v for row in self.rows for v in row)
-
-    def scale(self, c):
-        return NCMatrix(self.N, self.p,
-                        [[c * v if v else NCPoly.zero() for v in row]
-                         for row in self.rows])
-
-    def shifted(self, c):
-        """Add the scalar c on the diagonal."""
-        rows = [list(r) for r in self.rows]
-        for i in range(self.dim):
-            rows[i][i] = rows[i][i] + c
-        return NCMatrix(self.N, self.p, rows)
-
-    def map_entries(self, fn):
-        return NCMatrix(self.N, self.p,
-                        [[fn(v) for v in row] for row in self.rows])
-
-    def __repr__(self):
-        return "NCMatrix(N=%d, p=%d)" % (self.N, self.p)
-
-
 def gen_matrix(kind, N):
     """Generating matrix with single-word entries: row i, column j holds
     the generator with lower index i and upper index j."""
@@ -266,145 +142,9 @@ def gen_matrix(kind, N):
         raise NCError("unknown generator kind %r" % (kind,))
     rows = [[NCPoly.from_word(char(i + 1, j + 1, N)) for j in range(N)]
             for i in range(N)]
-    return NCMatrix(N, 1, rows)
-
-
-def mat_mul(A, B):
-    A._compat(B)
-    dim = A.dim
-    out = [[NCPoly.zero()] * dim for _ in range(dim)]
-    for i in range(dim):
-        arow = A.rows[i]
-        orow = out[i]
-        for s in range(dim):
-            a = arow[s]
-            if not a:
-                continue
-            brow = B.rows[s]
-            for j in range(dim):
-                b = brow[j]
-                if b:
-                    orow[j] = orow[j] + a * b
-    return NCMatrix(A.N, A.p, out)
-
-
-def scalar_mat_mul(S, X):
-    """QMatrix times NCMatrix."""
-    if S.N != X.N or S.p != X.p:
-        raise NCError("mismatched shapes")
-    dim = X.dim
-    out = [[NCPoly.zero()] * dim for _ in range(dim)]
-    for i in range(dim):
-        srow = S.rows[i]
-        orow = out[i]
-        for s in range(dim):
-            c = srow[s]
-            if not c:
-                continue
-            xrow = X.rows[s]
-            for j in range(dim):
-                v = xrow[j]
-                if v:
-                    orow[j] = orow[j] + c * v
-    return NCMatrix(X.N, X.p, out)
-
-
-def mat_scalar_mul(X, S):
-    """NCMatrix times QMatrix."""
-    if S.N != X.N or S.p != X.p:
-        raise NCError("mismatched shapes")
-    dim = X.dim
-    out = [[NCPoly.zero()] * dim for _ in range(dim)]
-    for i in range(dim):
-        xrow = X.rows[i]
-        orow = out[i]
-        for s in range(dim):
-            v = xrow[s]
-            if not v:
-                continue
-            srow = S.rows[s]
-            for j in range(dim):
-                c = srow[j]
-                if c:
-                    orow[j] = orow[j] + v * c
-    return NCMatrix(X.N, X.p, out)
-
-
-def embed_tail_nc(X, p):
-    if X.p > p:
-        raise NCError("cannot shrink the leg count")
-    if X.p == p:
-        return X
-    post = X.N ** (p - X.p)
-    out = NCMatrix.zeros(X.N, p)
-    for a in range(X.dim):
-        for c in range(X.dim):
-            v = X.rows[a][c]
-            if not v:
-                continue
-            for t in range(post):
-                out.rows[a * post + t][c * post + t] = v
-    return out
+    return QMatrix(N, 1, rows)
 
 
 def copy_up(X, R, R_inv, i):
     """Conjugate by the braiding on legs (i, i+1): R_i X R_i^(-1)."""
-    return mat_scalar_mul(scalar_mat_mul(embed(R, i, X.p), X),
-                          embed(R_inv, i, X.p))
-
-
-def copy_down(X, R, R_inv, i):
-    """Conjugate by the inverse braiding: R_i^(-1) X R_i."""
-    return scalar_mat_mul(embed(R_inv, i, X.p),
-                          mat_scalar_mul(X, embed(R, i, X.p)))
-
-
-def partial_trace_nc(X, leg, weight):
-    """Weighted partial trace of an NCMatrix over one leg."""
-    N, p = X.N, X.p
-    if not (1 <= leg <= p):
-        raise NCError("leg %d out of range for %d legs" % (leg, p))
-    div = N ** (p - leg)
-    dim = X.dim
-    if p == 1:
-        acc = NCPoly.zero()
-        for s in range(N):
-            for k in range(N):
-                v = X.rows[s][k]
-                if not v:
-                    continue
-                w = weight.rows[k][s]
-                if w:
-                    acc = acc + w * v
-        return acc
-    out = NCMatrix.zeros(N, p - 1)
-    for r in range(dim):
-        xrow = X.rows[r]
-        s = (r // div) % N
-        r2 = (r // (div * N)) * div + r % div
-        for c in range(dim):
-            v = xrow[c]
-            if not v:
-                continue
-            k = (c // div) % N
-            w = weight.rows[k][s]
-            if not w:
-                continue
-            c2 = (c // (div * N)) * div + c % div
-            out.rows[r2][c2] = out.rows[r2][c2] + w * v
-    return out
-
-
-def r_trace_nc(X, legs, c_matrix):
-    out = X
-    for leg in sorted(set(legs), reverse=True):
-        out = partial_trace_nc(out, leg, c_matrix)
-    return out
-
-
-def poly_backend(x):
-    """Backend label of a polynomial's coefficients, if any are typed."""
-    for c in x.terms.values():
-        if not isinstance(c, int):
-            return backend_of(c)
-    return None
+    return embed(R, i, X.p) * X * embed(R_inv, i, X.p)

@@ -1,8 +1,13 @@
 """Exact dense linear algebra on tensor powers of an N-dimensional space.
 
 A QMatrix acts on p tensor legs; its composite indices flatten the leg
-tuple (i_1, ..., i_p) big-endian: r = sum (i_t - 1) N^(p-t).  Entries are
-exact scalars (Fraction or RatQ; ints 0/1 allowed as neutral constants).
+tuple (i_1, ..., i_p) big-endian: r = sum (i_t - 1) N^(p-t).  Entries lie
+in any ring that multiplies with exact scalars on both sides: Fraction or
+RatQ scalars, or free-algebra polynomials (ncalg.NCPoly), mixed freely.
+The ints 0/1 are backend-neutral constants, 0 is every ring's zero and
+zero tests use truthiness.  Products keep the order of their factors.
+Inversion, rank, the skew inverse and the rank-one factorization need
+scalar entries.
 """
 
 from __future__ import annotations
@@ -59,9 +64,6 @@ class QMatrix:
             out.rows[i][i] = 1
         return out
 
-    def copy(self):
-        return QMatrix(self.N, self.p, [list(r) for r in self.rows])
-
     def __add__(self, other):
         self._compat(other)
         return QMatrix(self.N, self.p,
@@ -104,6 +106,13 @@ class QMatrix:
     def __neg__(self):
         return QMatrix(self.N, self.p,
                        [[-v if v else 0 for v in row] for row in self.rows])
+
+    def shifted(self, c):
+        """Add the scalar c on the diagonal."""
+        rows = [list(r) for r in self.rows]
+        for i in range(self.dim):
+            rows[i][i] = rows[i][i] + c
+        return QMatrix(self.N, self.p, rows)
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
@@ -181,9 +190,9 @@ def embed_tail(X, p):
     return out
 
 
-def partial_trace(X, leg, weight=None):
+def partial_trace(X, leg, weight):
     """Weighted partial trace over one leg; the weight is a 1-leg operator
-    applied before tracing (plain trace when weight is None)."""
+    applied before tracing."""
     N, p = X.N, X.p
     if not (1 <= leg <= p):
         raise QLinError("leg %d out of range for %d legs" % (leg, p))
@@ -194,7 +203,7 @@ def partial_trace(X, leg, weight=None):
                 v = X.rows[s][k]
                 if not v:
                     continue
-                w = 1 if weight is None else weight.rows[k][s]
+                w = weight.rows[k][s]
                 if w:
                     acc = acc + w * v
         return acc
@@ -210,10 +219,7 @@ def partial_trace(X, leg, weight=None):
             if not v:
                 continue
             k = (c // div) % N
-            if weight is None:
-                w = 1 if k == s else 0
-            else:
-                w = weight.rows[k][s]
+            w = weight.rows[k][s]
             if not w:
                 continue
             c2 = (c // (div * N)) * div + c % div
@@ -224,7 +230,7 @@ def partial_trace(X, leg, weight=None):
 def r_trace(X, legs, c_matrix):
     """Trace the listed legs (1-based) against the trace weight, highest
     leg first so remaining leg numbers stay stable.  Returns a QMatrix on
-    the surviving legs, or a scalar when every leg is traced."""
+    the surviving legs, or a ring element when every leg is traced."""
     out = X
     for leg in sorted(set(legs), reverse=True):
         out = partial_trace(out, leg, c_matrix)

@@ -62,10 +62,6 @@ class HeckeSymmetry:
     def c_matrix(self):
         return self.skew.c_matrix
 
-    @property
-    def b_matrix(self):
-        return self.skew.b_matrix
-
     def antisym(self, k):
         if k not in self._anti:
             self._anti[k] = antisymmetrizer(self.R, k, self.q_config)

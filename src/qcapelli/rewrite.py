@@ -17,19 +17,8 @@ from __future__ import annotations
 
 import heapq
 
-from .ncalg import (
-    NCError,
-    NCPoly,
-    d_char,
-    embed_tail_nc,
-    gen_matrix,
-    m_char,
-    mat_mul,
-    mat_scalar_mul,
-    scalar_mat_mul,
-    word_key,
-)
-from .qlinalg import QMatrix, matrix_inverse
+from .ncalg import NCError, NCPoly, d_char, gen_matrix, m_char, word_key
+from .qlinalg import QMatrix, embed_tail, matrix_inverse
 from .scalar import inv as scalar_inv
 
 
@@ -72,11 +61,9 @@ def derive_exchange(sym):
     """
     N = sym.N
     R, Rinv = sym.R, sym.R_inv
-    m1 = embed_tail_nc(gen_matrix("m", N), 2)
-    d1 = embed_tail_nc(gen_matrix("d", N), 2)
-    rhs = mat_scalar_mul(
-        mat_mul(mat_scalar_mul(scalar_mat_mul(R, m1), Rinv), d1), Rinv)
-    rhs = rhs.shifted(1)
+    m1 = embed_tail(gen_matrix("m", N), 2)
+    d1 = embed_tail(gen_matrix("d", N), 2)
+    rhs = (R * m1 * Rinv * d1 * Rinv).shifted(1)
 
     t = QMatrix.zeros(N, 2)
     for c in range(N):
@@ -124,15 +111,13 @@ def derive_exchange(sym):
 def exchange_round_trip_ok(sym, table):
     """Rebuild both sides of the permutation relation through the table."""
     N = sym.N
-    m1 = embed_tail_nc(gen_matrix("m", N), 2)
-    d1 = embed_tail_nc(gen_matrix("d", N), 2)
-    lhs = mat_mul(d1, scalar_mat_mul(sym.R, m1))
-    rhs = mat_scalar_mul(
-        mat_mul(mat_scalar_mul(scalar_mat_mul(sym.R, m1), sym.R_inv), d1),
-        sym.R_inv).shifted(1)
-    for i in range(lhs.dim):
-        for j in range(lhs.dim):
-            if normal_order(lhs.rows[i][j], table) != rhs.rows[i][j]:
+    m1 = embed_tail(gen_matrix("m", N), 2)
+    d1 = embed_tail(gen_matrix("d", N), 2)
+    lhs = d1 * (sym.R * m1)
+    rhs = (sym.R * m1 * sym.R_inv * d1 * sym.R_inv).shifted(1)
+    for lrow, rrow in zip(lhs.rows, rhs.rows):
+        for v, want in zip(lrow, rrow):
+            if (normal_order(v, table) if v else 0) != want:
                 return False
     return True
 
@@ -249,9 +234,7 @@ def _rref_rules(polys):
 
 def _relation_polys(R, X1):
     """Entries of R X1 R X1 - X1 R X1 R as coefficient dictionaries."""
-    a = mat_mul(scalar_mat_mul(R, mat_scalar_mul(X1, R)), X1)
-    b = mat_scalar_mul(mat_mul(mat_scalar_mul(X1, R), X1), R)
-    diff = a - b
+    diff = R * (X1 * R) * X1 - X1 * R * X1 * R
     out = []
     for row in diff.rows:
         for v in row:
@@ -262,7 +245,7 @@ def _relation_polys(R, X1):
 
 def _derive_rules(sym, kind, cross_check):
     N = sym.N
-    x1 = embed_tail_nc(gen_matrix(kind, N), 2)
+    x1 = embed_tail(gen_matrix(kind, N), 2)
     braiding = sym.R if kind == "m" else sym.R_inv
     polys = _relation_polys(braiding, x1)
     rules = _rref_rules(polys)
@@ -274,9 +257,8 @@ def _derive_rules(sym, kind, cross_check):
             alt = sym.rebuild_at(probe)
             if alt is None:
                 break
-            alt_x1 = embed_tail_nc(gen_matrix(kind, N), 2)
             alt_braiding = alt.R if kind == "m" else alt.R_inv
-            alt_count = len(_rref_rules(_relation_polys(alt_braiding, alt_x1)))
+            alt_count = len(_rref_rules(_relation_polys(alt_braiding, x1)))
             if base_count < alt_count:
                 raise BadSpecializationError(
                     "bad specialization at q = %s: relation rank %d drops "

@@ -434,36 +434,6 @@ class QConfig:
         return parse_scalar(text, self)
 
 
-def backend_of(s):
-    if isinstance(s, RatQ):
-        return "symbolic"
-    if isinstance(s, (Fraction, int)):
-        return "fixed"
-    raise ScalarError("not a scalar: %r" % (s,))
-
-
-def _check_pair(a, b):
-    ba, bb = backend_of(a), backend_of(b)
-    if isinstance(a, int) or isinstance(b, int):
-        return
-    if ba != bb:
-        raise BackendMismatch("cannot combine %s and %s scalars" % (ba, bb))
-
-
-def add(a, b):
-    _check_pair(a, b)
-    return a + b
-
-
-def mul(a, b):
-    _check_pair(a, b)
-    return a * b
-
-
-def neg(a):
-    return -a
-
-
 def inv(a):
     if is_zero(a):
         raise ZeroDivisionError("inverse of zero scalar")
@@ -477,23 +447,6 @@ def inv(a):
 
 def is_zero(a):
     return not a
-
-
-def qnum(k, cfg):
-    return cfg.qnum(k)
-
-
-def qpow(n, cfg):
-    return cfg.qpow(n)
-
-
-def eval_at(s, q0):
-    """Evaluate a symbolic scalar at a rational q0."""
-    if isinstance(s, RatQ):
-        return s.eval_at(q0)
-    if isinstance(s, (Fraction, int)):
-        return Fraction(s)
-    raise ScalarError("not a scalar: %r" % (s,))
 
 
 # --- parsing -------------------------------------------------------------

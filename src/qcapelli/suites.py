@@ -87,10 +87,6 @@ def _ctx(label):
     return got
 
 
-def _embed_head(X, p):
-    return embed_tail(X, p)
-
-
 def _embed_after_first(X, p):
     """Block-diagonal placement of a (p-1)-leg matrix on legs 2..p."""
     N = X.N
@@ -178,9 +174,8 @@ def crit_3():
         m = sym.rank
         traced = sym.r_trace(sym.antisym(m), range(1, m + 1))
         want = sym.q_config.qpow(-m * m)
-        got = traced.rows[0][0] if isinstance(traced, QMatrix) else traced
         _collect(checks, "%s <A(%d)> = q^(-%d)" % (sym.name, m, m * m),
-                 got == want)
+                 traced == want)
     return _finish(3, "trace normalization", t0, checks)
 
 

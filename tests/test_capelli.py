@@ -2,6 +2,7 @@ import pytest
 
 from fractions import Fraction
 
+from qcapelli import weyl
 from qcapelli.capelli import (
     RewriteContext,
     VerifyError,
@@ -28,6 +29,7 @@ from qcapelli.capelli import (
     verify_traced,
 )
 from qcapelli.rcatalog import dj, flip
+from qcapelli.rewrite import DegreeCapError
 from qcapelli.scalar import QConfig, scalar_to_text
 
 
@@ -190,6 +192,19 @@ def test_classical_oracle():
         assert rep.passed()
         assert rep.details["control_fails"] is True
         assert rep.details["convention"] == "column"
+        assert rep.details["row_form"] in ("pass", "fail")
+
+
+def test_classical_gates_on_column_convention_only(monkeypatch):
+    def column_fails(N):
+        return {"N": N, "shifts": [], "holds": False, "control_fails": True}
+
+    monkeypatch.setattr(weyl, "capelli_check", column_fails)
+    # at N = 1 the row form holds, so a row fallback would turn this green
+    for n in (1, 2):
+        rep = verify_classical(n)
+        assert rep.outcome == "fail"
+        assert rep.details["convention"] == "column"
 
 
 def test_classical_consistency():
@@ -237,7 +252,7 @@ def test_report_record_is_serializable():
 
 def test_context_degree_cap():
     ctx = RewriteContext(dj(1), max_degree=2)
-    with pytest.raises(VerifyError):
+    with pytest.raises(DegreeCapError):
         ctx.system("m", 3)
 
 

@@ -4,39 +4,30 @@ from fractions import Fraction
 import pytest
 
 from qcapelli.ncalg import (
-    CounitDomainError,
-    Gen,
-    NCMatrix,
+    NCError,
     NCPoly,
-    char_gen,
-    copy_down,
     copy_up,
-    counit,
     d_char,
-    embed_tail_nc,
-    gen_char,
     gen_matrix,
     m_char,
-    mat_mul,
-    mat_scalar_mul,
-    nc_degree,
-    partial_trace_nc,
-    r_trace_nc,
-    scalar_mat_mul,
     word_key,
 )
-from qcapelli.qlinalg import QMatrix, embed, embed_tail
+from qcapelli.qlinalg import embed, embed_tail, partial_trace, r_trace
 from qcapelli.rcatalog import dj
+from qcapelli.rewrite import apply_derivative, derive_exchange
 from qcapelli.scalar import QConfig
 
 
 def test_char_round_trip():
+    # letters decode by their offset from 'A' / 'a', as the commutative
+    # specialization reads them, and the two kinds never share a letter
     for N in (1, 2, 3):
         for i in range(1, N + 1):
             for j in range(1, N + 1):
-                assert char_gen(m_char(i, j, N), N) == Gen("m", i, j)
-                assert char_gen(d_char(i, j, N), N) == Gen("d", i, j)
-                assert gen_char(Gen("d", i, j), N) == d_char(i, j, N)
+                m, d = m_char(i, j, N), d_char(i, j, N)
+                assert m < "a" <= d
+                assert divmod(ord(m) - ord("A"), N) == (i - 1, j - 1)
+                assert divmod(ord(d) - ord("a"), N) == (i - 1, j - 1)
 
 
 def test_word_order_degree_first_then_d_over_m():
@@ -81,19 +72,18 @@ def test_scalar_coefficient_interplay():
 
 
 def test_counit():
+    # acting on the unit applies the counit: derivative letters die,
+    # constants survive, position letters are outside the domain
     N = 2
+    table = derive_exchange(dj(N, QConfig.fixed(Fraction(3, 5))))
+    unit = NCPoly.from_word("")
     d = NCPoly.from_word(d_char(1, 2, N), Fraction(5))
-    assert counit(d) == 0
-    assert counit(NCPoly.from_word("", Fraction(7, 2)) + d) == Fraction(7, 2)
-    assert counit(d * d) == 0
-    with pytest.raises(CounitDomainError):
-        counit(NCPoly.from_word(m_char(1, 1, N)))
-
-
-def test_nc_degree():
-    p = NCPoly.from_word("AAb") + NCPoly.from_word("aab")
-    assert nc_degree(p) == (2, 3)
-    assert nc_degree(NCPoly.zero()) == (0, 0)
+    assert apply_derivative(d, unit, table).is_zero()
+    assert apply_derivative(NCPoly.from_word("", Fraction(7, 2)) + d, unit,
+                            table) == Fraction(7, 2)
+    assert apply_derivative(d * d, unit, table).is_zero()
+    with pytest.raises(NCError):
+        apply_derivative(NCPoly.from_word(m_char(1, 1, N)), unit, table)
 
 
 def test_gen_matrix_layout():
@@ -109,7 +99,7 @@ def test_matrix_products_respect_order():
     N = 2
     M = gen_matrix("m", N)
     D = gen_matrix("d", N)
-    L = mat_mul(M, D)
+    L = M * D
     # entry (1,1) is sum over s of m_1^s d_s^1
     expect = NCPoly.from_word(m_char(1, 1, N) + d_char(1, 1, N)) + \
         NCPoly.from_word(m_char(1, 2, N) + d_char(2, 1, N))
@@ -119,31 +109,32 @@ def test_matrix_products_respect_order():
 def test_scalar_matrix_products_match_embedding():
     rng = random.Random(22)
     sym = dj(2, QConfig.fixed(Fraction(3, 5)))
-    M1 = embed_tail_nc(gen_matrix("m", 2), 2)
-    left = scalar_mat_mul(sym.R, M1)
-    right = mat_scalar_mul(M1, sym.R)
+    M1 = embed_tail(gen_matrix("m", 2), 2)
+    left = sym.R * M1
+    right = M1 * sym.R
     # scalars commute with words entrywise, so (R M1)_ij words equal M1-words
-    for i in range(4):
-        for j in range(4):
-            for w in left.rows[i][j].terms:
+    for row in left.rows:
+        for v in row:
+            for w in (v.terms if v else ()):
                 assert len(w) == 1 and w < "a"
     assert left != right  # R and M1 do not commute as matrices
 
 
 def test_copy_up_down_inverse():
     sym = dj(2)
-    M1 = embed_tail_nc(gen_matrix("m", 2), 2)
+    M1 = embed_tail(gen_matrix("m", 2), 2)
     up = copy_up(M1, sym.R, sym.R_inv, 1)
-    back = copy_down(up, sym.R, sym.R_inv, 1)
+    back = embed(sym.R_inv, 1, 2) * up * embed(sym.R, 1, 2)
     assert back == M1
+    assert up != M1
 
 
-def test_embed_tail_nc_and_trace():
+def test_embed_tail_and_trace_of_generators():
     sym = dj(2)
     M = gen_matrix("m", 2)
-    M1 = embed_tail_nc(M, 2)
-    t2 = partial_trace_nc(M1, 2, sym.c_matrix)
+    M1 = embed_tail(M, 2)
+    t2 = partial_trace(M1, 2, sym.c_matrix)
     assert t2 == M.scale(sym.c_matrix.trace())
-    tr = r_trace_nc(M1, [1, 2], sym.c_matrix)
-    direct = r_trace_nc(M, [1], sym.c_matrix) * sym.c_matrix.trace()
+    tr = r_trace(M1, [1, 2], sym.c_matrix)
+    direct = r_trace(M, [1], sym.c_matrix) * sym.c_matrix.trace()
     assert tr == direct

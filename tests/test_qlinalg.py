@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from qcapelli.capelli import RewriteContext
+from qcapelli.ncalg import NCPoly, gen_matrix
 from qcapelli.qlinalg import (
     FactorError,
     QMatrix,
@@ -44,6 +46,34 @@ def test_embed_is_multiplicative():
             assert embed(A * B, i, 3) == embed(A, i, 3) * embed(B, i, 3)
         assert embed_tail(A * B, 3) == embed_tail(A, 3) * embed_tail(B, 3)
     assert embed(QMatrix.identity(2, 2), 1, 3) == QMatrix.identity(2, 3)
+    # generator-valued and mixed scalar/generator factors
+    M1 = embed_tail(gen_matrix("m", 2), 2)
+    D1 = embed_tail(gen_matrix("d", 2), 2)
+    S = rand_qmatrix(rng, 2, 2)
+    for A, B in ((M1, D1), (D1, M1), (S, M1), (M1, S), (S * D1, M1 * S)):
+        assert embed_tail(A * B, 3) == embed_tail(A, 3) * embed_tail(B, 3)
+    assert M1 * D1 != D1 * M1
+
+
+def test_mixed_products_associate():
+    sym = dj(2)
+    X = embed_tail(gen_matrix("m", 2), 2)
+    S, T = sym.R, sym.R_inv
+    assert (S * X) * T == S * (X * T)
+    assert not (S * X * T).is_zero()
+
+
+def test_shifted_zero_diagonal_reduces():
+    sym = dj(2)
+    ctx = RewriteContext(sym)
+    q = sym.q_config.q()
+    X = gen_matrix("m", 2)
+    X.rows[0][0] = 0
+    Y = X.shifted(q)
+    assert Y.rows[0][0] == q  # a bare scalar entry
+    assert ctx.reduce_poly(Y.rows[0][0], 1) == NCPoly.from_word("", q)
+    assert ctx.reduce_poly(Y.rows[1][1], 1) == X.rows[1][1] + q
+    assert ctx.reduce_poly(0, 1).is_zero()
 
 
 def test_embed_disjoint_legs_commute():
@@ -98,7 +128,7 @@ def test_skew_inverse_values_and_round_trip():
     N = 2
     r12 = embed(s2.R, 1, 3)
     psi23 = embed(s2.skew.psi, 2, 3)
-    traced = partial_trace(r12 * psi23, 2)
+    traced = partial_trace(r12 * psi23, 2, QMatrix.identity(N, 1))
     p13 = QMatrix.zeros(N, 2)
     for a in range(N):
         for b in range(N):

@@ -3,25 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from qcapelli.ncalg import (
-    NCError,
-    NCPoly,
-    d_char,
-    embed_tail_nc,
-    gen_matrix,
-    m_char,
-    mat_mul,
-    mat_scalar_mul,
-    scalar_mat_mul,
-    copy_up,
-)
-from qcapelli.qlinalg import QMatrix
+from qcapelli.ncalg import NCError, NCPoly, copy_up, d_char, gen_matrix, m_char
+from qcapelli.qlinalg import QMatrix, embed_tail
 from qcapelli.rcatalog import dj, flip
 from qcapelli.rewrite import (
     BadSpecializationError,
     CapacityError,
     DegreeCapError,
     RewriteError,
+    _max_degrees,
     apply_derivative,
     complete,
     derive_dd_rules,
@@ -44,9 +34,7 @@ def d_alphabet(N):
 
 def relation_entries(braiding, x1):
     # entries of R X1 R X1 - X1 R X1 R, assembled through the matrix ops
-    a = mat_mul(scalar_mat_mul(braiding, mat_scalar_mul(x1, braiding)), x1)
-    b = mat_scalar_mul(mat_mul(mat_scalar_mul(x1, braiding), x1), braiding)
-    diff = a - b
+    diff = braiding * (x1 * braiding) * x1 - x1 * braiding * x1 * braiding
     return [v for row in diff.rows for v in row if v]
 
 
@@ -131,8 +119,8 @@ def test_completed_systems_kill_their_defining_relations():
     # regression: interreduction once flipped a sign and silently enlarged
     # the derivative-side ideal
     for sym in (dj(2), dj(3, QConfig.fixed("3/5"))):
-        m1 = embed_tail_nc(gen_matrix("m", sym.N), 2)
-        d1 = embed_tail_nc(gen_matrix("d", sym.N), 2)
+        m1 = embed_tail(gen_matrix("m", sym.N), 2)
+        d1 = embed_tail(gen_matrix("d", sym.N), 2)
         cm = complete(derive_re_rules(sym), 4)
         cd = complete(derive_dd_rules(sym), 4)
         for p in relation_entries(sym.R, m1):
@@ -212,8 +200,8 @@ def test_reduce_constant_on_ideal_translates():
     table = derive_exchange(sym)
     cm = complete(derive_re_rules(sym), 4)
     cd = complete(derive_dd_rules(sym), 4)
-    m1 = embed_tail_nc(gen_matrix("m", 2), 2)
-    d1 = embed_tail_nc(gen_matrix("d", 2), 2)
+    m1 = embed_tail(gen_matrix("m", 2), 2)
+    d1 = embed_tail(gen_matrix("d", 2), 2)
     cfg = sym.q_config
     rng = random.Random(55)
     rel_m = relation_entries(sym.R, m1)
@@ -241,6 +229,12 @@ def test_reduce_respects_products():
         staged = reduce(reduce(a, cm, cd, table) * reduce(b, cm, cd, table),
                         cm, cd, table)
         assert direct == staged
+
+
+def test_max_degrees():
+    p = NCPoly.from_word("AAb") + NCPoly.from_word("aab")
+    assert _max_degrees(p) == (2, 3)
+    assert _max_degrees(NCPoly.zero()) == (0, 0)
 
 
 def test_reduce_degree_cap():
@@ -277,16 +271,17 @@ def test_derivative_action_on_second_copy_is_inverse_braiding():
     for sym in (dj(2), flip(2), dj(3, QConfig.fixed("3/5"))):
         N = sym.N
         table = derive_exchange(sym)
-        d1 = embed_tail_nc(gen_matrix("d", N), 2)
-        m2 = copy_up(embed_tail_nc(gen_matrix("m", N), 2),
+        d1 = embed_tail(gen_matrix("d", N), 2)
+        m2 = copy_up(embed_tail(gen_matrix("m", N), 2),
                      sym.R, sym.R_inv, 1)
         dim = N * N
         for r in range(dim):
             for c in range(dim):
                 acted = NCPoly.zero()
                 for k in range(dim):
-                    acted = acted + apply_derivative(
-                        d1.rows[r][k], m2.rows[k][c], table)
+                    if d1.rows[r][k] and m2.rows[k][c]:
+                        acted = acted + apply_derivative(
+                            d1.rows[r][k], m2.rows[k][c], table)
                 assert set(acted.terms) <= {""}
                 assert acted.constant() == sym.R_inv.rows[r][c]
 

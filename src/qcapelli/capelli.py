@@ -75,14 +75,15 @@ class VerificationReport:
 
 class RewriteContext:
     """Per-symmetry machinery: the exchange table and the two completed
-    systems, built lazily and grown monotonically in degree."""
+    systems, built lazily and grown monotonically in degree.
+    specialization_guard is how the rank guard ended when the rules were
+    derived ("not run" until they are)."""
 
-    def __init__(self, sym, rule_cap=4000, max_degree=12,
-                 strategy="leftmost"):
+    def __init__(self, sym, rule_cap=4000, max_degree=12):
         self.sym = sym
         self.rule_cap = rule_cap
         self.max_degree = max_degree
-        self.strategy = strategy
+        self.specialization_guard = "not run"
         self._table = None
         self._systems = {}
 
@@ -101,7 +102,9 @@ class RewriteContext:
         got = self._systems.get(kind)
         if got is None or got.degree < degree:
             derive = derive_re_rules if kind == "m" else derive_dd_rules
-            got = complete(derive(self.sym), degree, rule_cap=self.rule_cap)
+            rules = derive(self.sym)
+            self.specialization_guard = rules.guard
+            got = complete(rules, degree, rule_cap=self.rule_cap)
             self._systems[kind] = got
         return got
 
@@ -111,7 +114,7 @@ class RewriteContext:
         if not isinstance(x, NCPoly):
             x = NCPoly.from_word("", x)
         return reduce(x, self.system("m", degree), self.system("d", degree),
-                      self.table, strategy=self.strategy)
+                      self.table)
 
     def q_points(self):
         cfg = self.sym.q_config
@@ -145,6 +148,8 @@ def _reduce_matrix(ctx, diff, degree, sample_cap=5):
 
 
 def _report(ctx, identity, params, residuals, sample, timings, details=None):
+    details = dict(details or {},
+                   specialization_guard=ctx.specialization_guard)
     return VerificationReport(
         identity=identity,
         params=params,
@@ -155,7 +160,7 @@ def _report(ctx, identity, params, residuals, sample, timings, details=None):
         residual_entries=residuals,
         residual_sample=sample,
         timings_ms=timings,
-        details=details or {},
+        details=details,
     )
 
 
@@ -217,7 +222,9 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None,
     t0 = time.perf_counter()
     lhs, rhs = theorem_sides(sym, k, variant, alpha)
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, lhs - rhs, k)
+    diff = lhs - rhs
+    del lhs, rhs  # free the two sides before the reduction memos grow
+    residuals, sample = _reduce_matrix(ctx, diff, k)
     t2 = time.perf_counter()
     name = identity or ("th" if variant == "column" else "th-s")
     params = {"N": sym.N, "k": k, "variant": variant}
@@ -674,7 +681,7 @@ def _ratq_exponent_interval(value):
             value.den.min_exp, value.den.max_exp)
 
 
-def rigor_bound(sym, k, variant="column"):
+def rigor_bound(sym, k, variant="column", rule_cap=4000, max_degree=12):
     """Conservative q-degree bound for every residual coefficient of the
     factorization identity.
 
@@ -684,11 +691,11 @@ def rigor_bound(sym, k, variant="column"):
     is the exponent span of the union interval of both cross products.
     The residual therefore has at most bound+1 nonzero coefficients, and
     vanishing at bound+1 distinct positive points forces it to vanish
-    identically.
+    identically.  The caps are those of RewriteContext.
     """
     if sym.q_config.mode != "symbolic":
         raise VerifyError("rigor bound requires the symbolic backend")
-    ctx = RewriteContext(sym)
+    ctx = RewriteContext(sym, rule_cap, max_degree)
     lhs, rhs = theorem_sides(sym, k, variant)
     bound = 0
     for i in range(lhs.dim):
@@ -711,13 +718,15 @@ _POINT_JOB = {}
 
 
 def _point_worker(args):
-    pt, k, variant = args
+    pt, k, variant, rule_cap, max_degree = args
     sym = _POINT_JOB["builder"](pt)
-    rep = verify_matrix_identity(RewriteContext(sym), k, variant)
+    rep = verify_matrix_identity(RewriteContext(sym, rule_cap, max_degree),
+                                 k, variant)
     return (str(pt), rep.passed())
 
 
-def verify_rigor(sym_builder, k, variant="column", extra_points=0, jobs=1):
+def verify_rigor(sym_builder, k, variant="column", extra_points=0, jobs=1,
+                 rule_cap=4000, max_degree=12):
     """Point-evaluation proof of the factorization identity.
 
     sym_builder(cfg_or_q) must return the symmetry at a symbolic or fixed
@@ -725,14 +734,15 @@ def verify_rigor(sym_builder, k, variant="column", extra_points=0, jobs=1):
     identity is checked at bound+1 distinct positive rational points; a
     Laurent polynomial with that span vanishing at that many nonzero
     points is identically zero.  jobs > 1 fans the points out over forked
-    workers; results are merged in point order either way.
+    workers; results are merged in point order either way.  rule_cap and
+    max_degree bound every rewrite context, as in RewriteContext.
     """
     t0 = time.perf_counter()
     symbolic = sym_builder(None)
-    bound = rigor_bound(symbolic, k, variant)
+    bound = rigor_bound(symbolic, k, variant, rule_cap, max_degree)
     points = _height_points(bound + 1 + extra_points)
     t1 = time.perf_counter()
-    work = [(pt, k, variant) for pt in points]
+    work = [(pt, k, variant, rule_cap, max_degree) for pt in points]
     if jobs > 1:
         import multiprocessing
 

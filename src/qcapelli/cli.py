@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all requested verifications passed, 1 a verification
-failed, 2 configuration error, 3 resource-cap abort.
+failed, 2 configuration error, 3 resource-cap abort, 4 internal error
+(an unexpected exception, never a verdict).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 IDENTITIES = ("th", "th-s", "cap-as", "cap-s", "cap1", "mre", "re-ideal",
               "consum", "h-copy", "exchange-general", "shift-scan",
@@ -158,6 +160,9 @@ def _run_verify(args, out):
     if ident == "classical":
         return _emit([verify_classical(args.N)], args.format, out)
 
+    caps = {"rule_cap": _env_int("QCAPELLI_RULE_CAP", 4000),
+            "max_degree": _env_int("QCAPELLI_MAX_DEGREE", 12)}
+
     if args.rigor:
         if ident not in ("th", "th-s"):
             raise ConfigError("--rigor applies to th and th-s only")
@@ -172,14 +177,11 @@ def _run_verify(args, out):
                 return rcatalog.dj(n)
             return rcatalog.dj(n, QConfig.fixed(pt))
 
-        rep = verify_rigor(builder, args.k, variant, jobs=jobs)
+        rep = verify_rigor(builder, args.k, variant, jobs=jobs, **caps)
         return _emit([rep], args.format, out)
 
     sym = _symmetry_for(args)
-    ctx = RewriteContext(
-        sym,
-        rule_cap=_env_int("QCAPELLI_RULE_CAP", 4000),
-        max_degree=_env_int("QCAPELLI_MAX_DEGREE", 12))
+    ctx = RewriteContext(sym, **caps)
     alpha = None
     if args.alpha is not None:
         try:
@@ -287,6 +289,9 @@ def main(argv=None, out=None):
     except (VerifyError, RewriteError, ScalarError, CatalogError) as e:
         out.write("configuration error: %s\n" % (e,))
         return EXIT_CONFIG
+    except Exception as e:
+        out.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        return EXIT_INTERNAL
     return EXIT_PASS if ok else EXIT_FAIL
 
 

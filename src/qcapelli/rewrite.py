@@ -1,23 +1,31 @@
 """Rewriting machinery for the quantum double.
 
-Three layers:
+Every rewrite goes through one class, Rewriter: oriented rules
+lhs -> {word: coeff} applied at the leftmost redex, with a per-word
+normal-form memo.  It serves four rule tables:
 
-* ExchangeTable: moves every derivative letter to the right of every
-  position letter, derived once per symmetry from the permutation
-  relation D1 R M1 = R M1 R^(-1) D1 R^(-1) + I.
-* RuleSet / CompletedSystem: oriented rules for the two defining ideals
-  (position side and derivative side), completed by resolving overlap
-  ambiguities up to a degree cap.
-* reduce: the canonical form map; a polynomial reduces to zero exactly
-  when it lies in the two-sided ideal generated by the relations, up to
-  the tested confluence of the combined system.
+* the exchange table (derive_exchange), solved once per symmetry from
+  the permutation relation D1 R M1 = R M1 R^(-1) D1 R^(-1) + I, moves
+  every derivative letter right of every position letter (normal_order);
+* the row reduction of the quadratic relations (_rref_rules)
+  back-substitutes by rewriting each pivot row with the pivot rows;
+* completion (complete) reduces each new relation and interreduces the
+  rules with a fresh Rewriter over the current rules;
+* the completed systems (CompletedSystem) of the position and derivative
+  ideals, closed under overlap resolution up to a degree cap.
+
+reduce is the canonical form map: normal order, then reduce the position
+prefix and the derivative suffix of each word by the two systems.  A
+polynomial reduces to zero exactly when it lies in the two-sided ideal
+generated by the relations, up to the tested confluence of the combined
+system.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .ncalg import NCError, NCPoly, d_char, gen_matrix, m_char, word_key
+from .ncalg import NCPoly, d_char, gen_matrix, m_char, word_key
 from .qlinalg import QMatrix, embed_tail, matrix_inverse
 from .scalar import inv as scalar_inv
 
@@ -38,22 +46,94 @@ class DegreeCapError(RewriteError):
     """Input exceeds the degree the completed system covers."""
 
 
-class ExchangeTable:
-    """For each derivative-position letter pair the normal-ordered form:
-    word 'dM' maps to a list of ('Md', coeff) terms plus a constant."""
+def _find_redex(w, rules, lengths):
+    for i in range(len(w)):
+        for L in lengths:
+            if i + L > len(w):
+                break
+            if w[i:i + L] in rules:
+                return i, L
+    return None
 
-    __slots__ = ("N", "rules")
 
-    def __init__(self, N, rules):
-        self.N = N
+def _add(terms, w, c):
+    acc = terms.get(w, 0) + c
+    if acc:
+        terms[w] = acc
+    else:
+        terms.pop(w, None)
+
+
+class Rewriter:
+    """Oriented rules lhs -> {word: coeff}, applied at the leftmost redex
+    (shortest left side first), with a per-word normal-form memo.
+
+    Leftmost reduction is a well-defined linear map even for rules that
+    are not confluent.  The memo holds for the rules it was built with:
+    after a rule changes, build a new Rewriter.  It keeps the words that
+    reduce; an irreducible word costs neither an entry nor a product.
+    """
+
+    __slots__ = ("rules", "lengths", "_nf")
+
+    def __init__(self, rules):
         self.rules = rules
+        self.lengths = sorted({len(w) for w in rules})
+        self._nf = {}
 
-    def entry(self, dm_word):
-        return self.rules[dm_word]
+    def _reduced(self, w):
+        """Normal form of w as {word: coeff}, or None when w is
+        irreducible."""
+        cache, rules, lengths = self._nf, self.rules, self.lengths
+        if w in cache or _find_redex(w, rules, lengths) is None:
+            return cache.get(w)
+        stack = [w]
+        while stack:
+            top = stack[-1]
+            if top in cache:
+                stack.pop()
+                continue
+            i, L = _find_redex(top, rules, lengths)
+            pre, suf = top[:i], top[i + L:]
+            rhs = rules[top[i:i + L]]
+            subs = [(pre + wr + suf, cr) for wr, cr in rhs.items()]
+            missing = [s for s, _ in subs
+                       if s not in cache and _find_redex(s, rules, lengths)]
+            if missing:
+                stack.extend(missing)
+                continue
+            res = {}
+            for s, cr in subs:
+                nf = cache.get(s)
+                if nf is None:
+                    _add(res, s, cr)
+                else:
+                    for w2, c2 in nf.items():
+                        _add(res, w2, cr * c2)
+            cache[top] = res
+            stack.pop()
+        return cache[w]
+
+    def nf_word(self, w):
+        nf = self._reduced(w)
+        return {w: 1} if nf is None else nf
+
+    def nf_terms(self, terms):
+        out = {}
+        for w, c in terms.items():
+            nf = self._reduced(w)
+            if nf is None:
+                _add(out, w, c)
+            else:
+                for w2, c2 in nf.items():
+                    _add(out, w2, c * c2)
+        return out
 
 
 def derive_exchange(sym):
-    """Solve the permutation relation for every generator pair.
+    """Solve the permutation relation for every generator pair: the
+    Rewriter taking each word 'dM' to its normal-ordered form, a sum of
+    'Md' words plus a constant on the empty word.
 
     The unknowns for fixed outer indices enter through the invertible
     reshuffle of R that also defines the skew inverse, so one exact
@@ -91,21 +171,15 @@ def derive_exchange(sym):
                             w = trow[c * N + f]
                             if w:
                                 poly = poly + w * rhs.rows[a * N + c][e * N + f]
-                    pairs = []
-                    const = 0
-                    for word, coeff in sorted(poly.terms.items(),
-                                              key=lambda kv: word_key(kv[0])):
-                        if word == "":
-                            const = coeff
-                        elif len(word) == 2 and word[0] < "a" <= word[1]:
-                            pairs.append((word, coeff))
-                        else:
+                    for word in poly.terms:
+                        if word and not (len(word) == 2
+                                         and word[0] < "a" <= word[1]):
                             raise RewriteError(
                                 "exchange solution has an impossible word %r"
                                 % (word,))
                     key = d_char(a + 1, x + 1, N) + m_char(u + 1, e + 1, N)
-                    rules[key] = (tuple(pairs), const)
-    return ExchangeTable(N, rules)
+                    rules[key] = poly.terms
+    return Rewriter(rules)
 
 
 def exchange_round_trip_ok(sym, table):
@@ -122,59 +196,22 @@ def exchange_round_trip_ok(sym, table):
     return True
 
 
-def normal_order(x, table, strategy="leftmost", rng=None):
-    """Eliminate every derivative-before-position adjacency.
-
-    Terminates because each swap lowers (length, inversion count); the
-    strategy choice picks which adjacency to rewrite first and must not
-    change the result (tested, not assumed).
-    """
-    todo = dict(x.terms)
-    out = {}
-    while todo:
-        w, c = todo.popitem()
-        redexes = [i for i in range(len(w) - 1)
-                   if w[i] >= "a" > w[i + 1]]
-        if not redexes:
-            acc = out.get(w, 0) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-            continue
-        if strategy == "leftmost":
-            i = redexes[0]
-        elif strategy == "rightmost":
-            i = redexes[-1]
-        elif strategy == "random":
-            i = rng.choice(redexes)
-        else:
-            raise RewriteError("unknown strategy %r" % (strategy,))
-        pairs, const = table.rules[w[i:i + 2]]
-        pre, suf = w[:i], w[i + 2:]
-        for rep, coeff in pairs:
-            nw = pre + rep + suf
-            acc = todo.get(nw, 0) + c * coeff
-            if acc:
-                todo[nw] = acc
-            else:
-                todo.pop(nw, None)
-        if const:
-            nw = pre + suf
-            acc = todo.get(nw, 0) + c * const
-            if acc:
-                todo[nw] = acc
-            else:
-                todo.pop(nw, None)
-    return NCPoly(out)
+def normal_order(x, table):
+    """Eliminate every derivative-before-position adjacency by the
+    exchange table.  Terminates because each swap lowers (length,
+    inversion count); the result does not depend on which adjacency is
+    rewritten first (tested, not assumed)."""
+    return NCPoly._raw(table.nf_terms(x.terms))
 
 
 class RuleSet:
-    """Oriented homogeneous rules over a single letter kind."""
+    """Oriented homogeneous rules over a single letter kind, with how the
+    specialization guard ended: "checked", "skipped: no rebuilder" or
+    "not applicable" (symbolic q, or q = 1)."""
 
-    __slots__ = ("kind", "rules")
+    __slots__ = ("kind", "rules", "guard")
 
-    def __init__(self, kind, rules):
+    def __init__(self, kind, rules, guard="not applicable"):
         if kind not in ("m", "d"):
             raise RewriteError("rule kind must be 'm' or 'd'")
         for lhs, rhs in rules.items():
@@ -185,196 +222,95 @@ class RuleSet:
                     raise RewriteError("rule %r is not order-decreasing" % (lhs,))
         self.kind = kind
         self.rules = rules
+        self.guard = guard
 
-    def __len__(self):
-        return len(self.rules)
+
+def _orient(terms):
+    """Orient the nonzero combination terms (consumed) as the rule
+    lead -> rhs that sets it to zero, lead being its largest word."""
+    lead = max(terms, key=word_key)
+    piv = scalar_inv(terms.pop(lead))
+    return lead, {w: -c * piv for w, c in terms.items()}
 
 
 def _rref_rules(polys):
-    """Exact row reduction of relation polynomials; returns the oriented,
-    interreduced rule dictionary lhs -> {word: coeff}."""
-    pivots = {}
+    """Exact row reduction of homogeneous relation polynomials; returns
+    the oriented, interreduced rule dictionary lhs -> {word: coeff}.
+    Back-substitution rewrites every rule's tail by all the rules; the
+    reduced row-echelon form is unique, so the order is immaterial."""
+    rules = {}
     for p in polys:
         row = dict(p)
         while row:
             lead = max(row, key=word_key)
-            hit = pivots.get(lead)
-            if hit is None:
-                piv = scalar_inv(row.pop(lead))
-                pivots[lead] = {w: c * piv for w, c in row.items()}
+            rhs = rules.get(lead)
+            if rhs is None:
+                lead, rhs = _orient(row)
+                rules[lead] = rhs
                 break
             f = row.pop(lead)
-            for w, c in hit.items():
-                acc = row.get(w, 0) - f * c
-                if acc:
-                    row[w] = acc
-                else:
-                    row.pop(w, None)
-    # back-substitute until no tail mentions a pivot word
-    changed = True
-    while changed:
-        changed = False
-        for lead in list(pivots):
-            tail = pivots[lead]
-            for w in list(tail):
-                sub = pivots.get(w)
-                if sub is None:
-                    continue
-                f = tail.pop(w)
-                for w2, c2 in sub.items():
-                    acc = tail.get(w2, 0) - f * c2
-                    if acc:
-                        tail[w2] = acc
-                    else:
-                        tail.pop(w2, None)
-                changed = True
-    return {lead: {w: -c for w, c in tail.items()}
-            for lead, tail in pivots.items()}
+            for w, c in rhs.items():
+                _add(row, w, f * c)
+    system = Rewriter(rules)
+    return {lead: system.nf_terms(rhs) for lead, rhs in rules.items()}
 
 
 def _relation_polys(R, X1):
     """Entries of R X1 R X1 - X1 R X1 R as coefficient dictionaries."""
     diff = R * (X1 * R) * X1 - X1 * R * X1 * R
-    out = []
-    for row in diff.rows:
-        for v in row:
-            if v:
-                out.append(dict(v.terms))
-    return out
+    return [v.terms for row in diff.rows for v in row if v]
 
 
-def _derive_rules(sym, kind, cross_check):
+def _derive_rules(sym, kind):
     N = sym.N
     x1 = embed_tail(gen_matrix(kind, N), 2)
     braiding = sym.R if kind == "m" else sym.R_inv
-    polys = _relation_polys(braiding, x1)
-    rules = _rref_rules(polys)
-    if cross_check and sym.q_config.mode == "fixed" and not sym.q_config.allow_unit:
-        base_count = len(rules)
-        q0 = sym.q_config.q_value
-        probes = [q0 + s for s in (1, 2, 3, 4) if q0 + s not in (0, 1, -1)][:2]
-        for probe in probes:
-            alt = sym.rebuild_at(probe)
-            if alt is None:
-                break
-            alt_braiding = alt.R if kind == "m" else alt.R_inv
-            alt_count = len(_rref_rules(_relation_polys(alt_braiding, x1)))
-            if base_count < alt_count:
-                raise BadSpecializationError(
-                    "bad specialization at q = %s: relation rank %d drops "
-                    "below the rank %d seen at q = %s; resample q"
-                    % (q0, base_count, alt_count, probe))
-            if base_count == alt_count:
-                break
-    return RuleSet(kind, rules)
+    rules = _rref_rules(_relation_polys(braiding, x1))
+    cfg = sym.q_config
+    if cfg.mode != "fixed" or cfg.allow_unit:
+        return RuleSet(kind, rules)
+    # the relation rank at the working q must not drop below the rank at
+    # a nearby probe of the same family
+    base_count = len(rules)
+    q0 = cfg.q_value
+    probes = [q0 + s for s in (1, 2, 3, 4) if q0 + s not in (0, 1, -1)][:2]
+    for probe in probes:
+        alt = sym.rebuild_at(probe)
+        if alt is None:
+            return RuleSet(kind, rules, "skipped: no rebuilder")
+        alt_braiding = alt.R if kind == "m" else alt.R_inv
+        alt_count = len(_rref_rules(_relation_polys(alt_braiding, x1)))
+        if base_count < alt_count:
+            raise BadSpecializationError(
+                "bad specialization at q = %s: relation rank %d drops "
+                "below the rank %d seen at q = %s; resample q"
+                % (q0, base_count, alt_count, probe))
+        if base_count == alt_count:
+            break
+    return RuleSet(kind, rules, "checked")
 
 
-def derive_re_rules(sym, cross_check=True):
+def derive_re_rules(sym):
     """Oriented rules for the position-side defining ideal."""
-    return _derive_rules(sym, "m", cross_check)
+    return _derive_rules(sym, "m")
 
 
-def derive_dd_rules(sym, cross_check=True):
+def derive_dd_rules(sym):
     """Oriented rules for the derivative-side defining ideal; the inverse
     braiding plays the role of R there."""
-    return _derive_rules(sym, "d", cross_check)
+    return _derive_rules(sym, "d")
 
 
-def _find_redex(w, rules, lengths):
-    for i in range(len(w)):
-        for L in lengths:
-            if i + L > len(w):
-                break
-            if w[i:i + L] in rules:
-                return i, L
-    return None
-
-
-def _nf_dict(terms, rules, lengths):
-    todo = dict(terms)
-    out = {}
-    while todo:
-        w, c = todo.popitem()
-        hit = _find_redex(w, rules, lengths)
-        if hit is None:
-            acc = out.get(w, 0) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-            continue
-        i, L = hit
-        pre, suf = w[:i], w[i + L:]
-        for wr, cr in rules[w[i:i + L]].items():
-            nw = pre + wr + suf
-            acc = todo.get(nw, 0) + c * cr
-            if acc:
-                todo[nw] = acc
-            else:
-                todo.pop(nw, None)
-    return out
-
-
-class CompletedSystem:
+class CompletedSystem(Rewriter):
     """Rule system closed under overlap resolution up to a degree cap."""
 
-    __slots__ = ("kind", "degree", "rules", "lengths", "stats", "_nf")
+    __slots__ = ("kind", "degree", "stats")
 
     def __init__(self, kind, degree, rules, stats):
+        super().__init__(rules)
         self.kind = kind
         self.degree = degree
-        self.rules = rules
-        self.lengths = sorted({len(w) for w in rules})
         self.stats = stats
-        self._nf = {}
-
-    def nf_word(self, w):
-        cache = self._nf
-        got = cache.get(w)
-        if got is not None:
-            return got
-        stack = [w]
-        rules, lengths = self.rules, self.lengths
-        while stack:
-            top = stack[-1]
-            if top in cache:
-                stack.pop()
-                continue
-            hit = _find_redex(top, rules, lengths)
-            if hit is None:
-                cache[top] = {top: 1}
-                stack.pop()
-                continue
-            i, L = hit
-            pre, suf = top[:i], top[i + L:]
-            rhs = rules[top[i:i + L]]
-            subs = [(pre + wr + suf, cr) for wr, cr in rhs.items()]
-            missing = [s for s, _ in subs if s not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            res = {}
-            for s, cr in subs:
-                for w2, c2 in cache[s].items():
-                    acc = res.get(w2, 0) + cr * c2
-                    if acc:
-                        res[w2] = acc
-                    else:
-                        res.pop(w2, None)
-            cache[top] = res
-            stack.pop()
-        return cache[w]
-
-    def nf_terms(self, terms):
-        out = {}
-        for w, c in terms.items():
-            for w2, c2 in self.nf_word(w).items():
-                acc = out.get(w2, 0) + c * c2
-                if acc:
-                    out[w2] = acc
-                else:
-                    out.pop(w2, None)
-        return out
 
     def count_irreducible(self, max_len, alphabet):
         """Number of irreducible words of each length 0..max_len."""
@@ -400,21 +336,11 @@ class CompletedSystem:
 def _spoly(rules, w, u, v, offset):
     """Difference of the two reductions of the ambiguity word w, where w
     starts with u and contains v at the given offset."""
-    left = {}
     suf = w[len(u):]
-    for wr, cr in rules[u].items():
-        left[wr + suf] = left.get(wr + suf, 0) + cr
-    right = {}
+    left = {wr + suf: cr for wr, cr in rules[u].items()}
     pre, post = w[:offset], w[offset + len(v):]
     for wr, cr in rules[v].items():
-        nw = pre + wr + post
-        right[nw] = right.get(nw, 0) + cr
-    for nw, cr in right.items():
-        acc = left.get(nw, 0) - cr
-        if acc:
-            left[nw] = acc
-        else:
-            left.pop(nw, None)
+        _add(left, pre + wr + post, -cr)
     return left
 
 
@@ -444,7 +370,6 @@ def complete(ruleset, degree, rule_cap=4000):
     rules are interreduced against them, and the loop runs to exhaustion.
     """
     rules = {}
-    lengths = set()
     agenda = [dict({lhs: 1}, **{w: -c for w, c in rhs.items()})
               for lhs, rhs in ruleset.rules.items()]
     heap = []
@@ -461,18 +386,13 @@ def complete(ruleset, degree, rule_cap=4000):
                         heapq.heappush(heap, (word_key(w), w, a, b, offset))
 
     def absorb(poly):
-        nf = _nf_dict(poly, rules, sorted(lengths))
+        nf = Rewriter(rules).nf_terms(poly)
         if not nf:
             return
-        lead = max(nf, key=word_key)
-        piv = scalar_inv(nf.pop(lead))
-        rhs = {w: -c * piv for w, c in nf.items()}
+        lead, rhs = _orient(nf)
         # retire rules whose left side the new rule now reduces
-        stale = [other for other in rules
-                 if other != lead and lead in
-                 (other[i:i + len(lead)] for i in range(len(other) - len(lead) + 1))]
+        stale = [other for other in rules if other != lead and lead in other]
         rules[lead] = rhs
-        lengths.add(len(lead))
         stats["added"] += 1
         if len(rules) > rule_cap:
             raise CapacityError(
@@ -480,11 +400,13 @@ def complete(ruleset, degree, rule_cap=4000):
         for other in stale:
             old = rules.pop(other)
             agenda.append(dict({other: 1}, **{w: -c for w, c in old.items()}))
-        ls = sorted(lengths)
+        # a rule change invalidates the memo, so rebuild after each one
+        system = Rewriter(rules)
         for other, rhs2 in list(rules.items()):
-            red = _nf_dict(rhs2, rules, ls)
+            red = system.nf_terms(rhs2)
             if red != rhs2:
                 rules[other] = red
+                system = Rewriter(rules)
         enqueue_pairs(lead)
 
     while agenda or heap:
@@ -500,7 +422,7 @@ def complete(ruleset, degree, rule_cap=4000):
     return CompletedSystem(ruleset.kind, degree, rules, stats)
 
 
-def reduce(x, sys_m, sys_d, table, strategy="leftmost", rng=None):
+def reduce(x, sys_m, sys_d, table):
     """Canonical form: normal-order the letter kinds, then reduce each
     segment to its ideal normal form.  Input must fit the degree caps."""
     md, dd = _max_degrees(x)
@@ -508,7 +430,7 @@ def reduce(x, sys_m, sys_d, table, strategy="leftmost", rng=None):
         raise DegreeCapError(
             "degrees (%d, %d) exceed the completed caps (%d, %d)"
             % (md, dd, sys_m.degree, sys_d.degree))
-    ordered = normal_order(x, table, strategy=strategy, rng=rng)
+    ordered = normal_order(x, table)
     out = {}
     for w, c in ordered.terms.items():
         cut = len(w)
@@ -536,26 +458,3 @@ def _max_degrees(x):
         dd = max(dd, len(w) - m)
     return md, dd
 
-
-def apply_derivative(a, b, table, sys_m=None):
-    """Action of a derivative-side polynomial on a position-side one:
-    permute a past b and apply the counit to the derivative remainder."""
-    for w in a.terms:
-        if any(ch < "a" for ch in w):
-            raise NCError("left factor must be a derivative polynomial")
-    for w in b.terms:
-        if any(ch >= "a" for ch in w):
-            raise NCError("right factor must be a position polynomial")
-    ordered = normal_order(a * b, table)
-    out = {}
-    for w, c in ordered.terms.items():
-        if any(ch >= "a" for ch in w):
-            continue
-        acc = out.get(w, 0) + c
-        if acc:
-            out[w] = acc
-        else:
-            out.pop(w, None)
-    if sys_m is not None:
-        out = sys_m.nf_terms(out)
-    return NCPoly(out)

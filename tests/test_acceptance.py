@@ -11,8 +11,10 @@ import pytest
 
 from qcapelli import suites
 
-BUDGETS_S = {1: 5, 2: 30, 3: 10, 4: 10, 5: 120, 6: 720, 7: 120, 8: 300,
-             9: 300, 10: 300, 11: 60, 12: 900}
+# Ten times the slowest of four runs of each criterion alone on a 2-core
+# VM (Python 3.11.7), rounded up to whole seconds, at least 5 s.
+BUDGETS_S = {1: 5, 2: 5, 3: 5, 4: 5, 5: 6, 6: 10, 7: 10, 8: 7, 9: 5, 10: 7,
+             11: 5, 12: 5}
 
 
 def _run(number, fn):

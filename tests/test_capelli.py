@@ -1,6 +1,7 @@
-import pytest
-
+import json
 from fractions import Fraction
+
+import pytest
 
 from qcapelli import weyl
 from qcapelli.capelli import (
@@ -28,7 +29,7 @@ from qcapelli.capelli import (
     verify_shift_scan,
     verify_traced,
 )
-from qcapelli.rcatalog import dj, flip
+from qcapelli.rcatalog import dj, flip, load
 from qcapelli.rewrite import DegreeCapError
 from qcapelli.scalar import QConfig, scalar_to_text
 
@@ -242,8 +243,6 @@ def test_matrix_copies_shapes():
 
 
 def test_report_record_is_serializable():
-    import json
-
     rep = verify_matrix_identity(ctx_for("dj2"), 2)
     blob = json.dumps(rep.to_record())
     assert '"identity": "th"' in blob
@@ -275,3 +274,41 @@ def test_rigor_bound_and_points():
 def test_rigor_bound_needs_symbolic_backend():
     with pytest.raises(VerifyError):
         rigor_bound(dj(2, QConfig.fixed("3/5")), 2)
+
+
+def test_rigor_honours_the_degree_cap():
+    def builder(pt):
+        return dj(2) if pt is None else dj(2, QConfig.fixed(pt))
+
+    with pytest.raises(DegreeCapError):
+        rigor_bound(dj(2), 2, max_degree=1)
+    with pytest.raises(DegreeCapError):
+        verify_rigor(builder, 2, max_degree=1)
+
+
+def _dj2_file(tmp_path, q):
+    path = tmp_path / "dj2.rmx"
+    path.write_text(json.dumps({
+        "N": 2, "q": q, "entries": [
+            {"i": 1, "j": 1, "k": 1, "l": 1, "value": "q"},
+            {"i": 2, "j": 2, "k": 2, "l": 2, "value": "q"},
+            {"i": 1, "j": 2, "k": 2, "l": 1, "value": "1"},
+            {"i": 2, "j": 1, "k": 1, "l": 2, "value": "1"},
+            {"i": 1, "j": 2, "k": 1, "l": 2, "value": "q - q^(-1)"},
+        ]}))
+    return str(path)
+
+
+def test_specialization_guard_is_reported(tmp_path):
+    catalog = RewriteContext(dj(2, QConfig.fixed("3/5")))
+    assert verify_consum(catalog, 2).details["specialization_guard"] \
+        == "not run"
+    assert verify_matrix_identity(catalog, 2).details[
+        "specialization_guard"] == "checked"
+    from_file = RewriteContext(load(_dj2_file(tmp_path, "3/5")))
+    rep = verify_matrix_identity(from_file, 2)
+    assert rep.passed()
+    assert rep.details["specialization_guard"] == "skipped: no rebuilder"
+    for sym in (dj(2), flip(2)):
+        rep = verify_mre(RewriteContext(sym))
+        assert rep.details["specialization_guard"] == "not applicable"

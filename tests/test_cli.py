@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from qcapelli import cli
 from qcapelli.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_RESOURCE,
     main,
@@ -148,6 +150,27 @@ def test_degree_cap_aborts(monkeypatch):
     monkeypatch.setenv("QCAPELLI_MAX_DEGREE", "1")
     code, text = run(["verify", "--identity", "th", "--k", "2"])
     assert code == EXIT_RESOURCE
+
+
+def test_rigor_honours_the_caps(monkeypatch):
+    monkeypatch.setenv("QCAPELLI_MAX_DEGREE", "1")
+    code, text = run(["verify", "--identity", "th", "--k", "2", "--rigor"])
+    assert code == EXIT_RESOURCE
+    monkeypatch.delenv("QCAPELLI_MAX_DEGREE")
+    monkeypatch.setenv("QCAPELLI_RULE_CAP", "3")
+    code, text = run(["verify", "--identity", "th", "--k", "2", "--rigor"])
+    assert code == EXIT_RESOURCE
+    assert "resource cap" in text
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
+    def broken(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_mre", broken)
+    code, text = run(["verify", "--identity", "mre"])
+    assert code == EXIT_INTERNAL
+    assert text == "internal error: RuntimeError: boom\n"
 
 
 def test_bad_q_is_config_error():

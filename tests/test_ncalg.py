@@ -14,8 +14,9 @@ from qcapelli.ncalg import (
 )
 from qcapelli.qlinalg import embed, embed_tail, partial_trace, r_trace
 from qcapelli.rcatalog import dj
-from qcapelli.rewrite import apply_derivative, derive_exchange
+from qcapelli.rewrite import derive_exchange
 from qcapelli.scalar import QConfig
+from test_rewrite import apply_derivative
 
 
 def test_char_round_trip():

@@ -1,17 +1,26 @@
+import io
 import json
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from qcapelli.qlinalg import QMatrix
+from qcapelli.capelli import RewriteContext, verify_matrix_identity
+from qcapelli.cli import EXIT_PASS, main
+from qcapelli.ncalg import gen_matrix
+from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse
 from qcapelli.rcatalog import (
     CatalogError,
     CatalogValidationError,
     dj,
     flip,
     load,
+    validate_symmetry,
 )
+from qcapelli.rewrite import complete, derive_dd_rules, derive_re_rules
 from qcapelli.scalar import QConfig
+from test_rewrite import relation_entries
 
 
 def test_dj_small_matrices():
@@ -119,3 +128,95 @@ def test_load_structural_errors(tmp_path):
     path.write_text(json.dumps(rec))
     with pytest.raises(CatalogError):
         load(str(path))
+
+
+# Conjugates (G x G) dj(N) (G x G)^(-1) by small integer G, and the
+# multiparameter twist of dj(N), are Hecke symmetries of their own; the
+# engine must verify the factorization identity for them as for dj(N).
+Q = Fraction(3, 5)
+
+
+def conjugate(N, G):
+    GG = QMatrix(N, 2, [[Fraction(G[a][c] * G[b][d])
+                         for c in range(N) for d in range(N)]
+                        for a in range(N) for b in range(N)])
+    R = GG * dj(N, QConfig.fixed(Q)).R * matrix_inverse(GG)
+    return validate_symmetry(R, QConfig.fixed(Q), "conj(%d, %s)" % (N, G))
+
+
+def twist(N, t):
+    """t on the swap entries above the diagonal, 1/t below."""
+    R = QMatrix(N, 2, [list(row) for row in dj(N, QConfig.fixed(Q)).R.rows])
+    for a in range(N):
+        for b in range(N):
+            if a != b:
+                R.rows[a * N + b][b * N + a] = t if a < b else 1 / t
+    return validate_symmetry(R, QConfig.fixed(Q), "twist(%d, %s)" % (N, t))
+
+
+def seeded_invertible(seed, N=2):
+    rng = random.Random(seed)
+    while True:
+        G = [[rng.randint(-2, 2) for _ in range(N)] for _ in range(N)]
+        if G[0][0] * G[1][1] != G[0][1] * G[1][0]:
+            return G
+
+
+def assert_factorization_holds(sym):
+    ctx = RewriteContext(sym)
+    assert sym.rank == sym.N
+    assert verify_matrix_identity(ctx, 2, "column").passed()
+    assert verify_matrix_identity(ctx, 2, "row").passed()
+    assert not verify_matrix_identity(ctx, 2, "column",
+                                      alpha=Fraction(7, 2)).passed()
+
+
+@pytest.mark.parametrize("N,G", [
+    (2, [[2, 1], [1, 1]]),
+    (2, [[1, 1], [0, 1]]),
+    (3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+] + [(2, seeded_invertible(seed)) for seed in range(3)])
+def test_conjugate_of_dj(N, G):
+    assert_factorization_holds(conjugate(N, G))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(7, 3)])
+def test_multiparameter_twist(N, t):
+    assert_factorization_holds(twist(N, t))
+
+
+UNIPOTENT_3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+
+
+def test_unipotent_conjugate_of_dj3_completes():
+    # the identity itself takes about a minute here; see the stretch test
+    sym = conjugate(3, UNIPOTENT_3)
+    for kind, braiding, derive in (("m", sym.R, derive_re_rules),
+                                   ("d", sym.R_inv, derive_dd_rules)):
+        system = complete(derive(sym), 2)
+        assert len(system.rules) == 36
+        x1 = embed_tail(gen_matrix(kind, 3), 2)
+        for p in relation_entries(braiding, x1):
+            assert not system.nf_terms(p.terms)
+
+
+@pytest.mark.skipif(not os.environ.get("QCAPELLI_STRETCH"),
+                    reason="about a minute; set QCAPELLI_STRETCH=1")
+def test_unipotent_conjugate_of_dj3_factorization():
+    assert_factorization_holds(conjugate(3, UNIPOTENT_3))
+
+
+def test_conjugate_verifies_from_a_file(tmp_path):
+    sym = conjugate(2, [[2, 1], [1, 1]])
+    entries = [{"i": r // 2 + 1, "j": r % 2 + 1, "k": c // 2 + 1,
+                "l": c % 2 + 1, "value": str(v)}
+               for r, row in enumerate(sym.R.rows)
+               for c, v in enumerate(row) if v]
+    path = tmp_path / "conj.rmx"
+    path.write_text(json.dumps({"N": 2, "q": str(Q), "entries": entries}))
+    assert load(str(path)).R == sym.R
+    for ident in ("th", "th-s"):
+        code = main(["verify", "--rmatrix", "file:%s" % path,
+                     "--identity", ident, "--k", "2"], out=io.StringIO())
+        assert code == EXIT_PASS

@@ -255,17 +255,6 @@ def verify_traced(ctx, k, variant="column"):
                     "reduction": round(1000 * (t2 - t1), 3)})
 
 
-def e_k(sym, k):
-    """Elementary symmetric polynomial of the position matrix: the
-    R-trace over k legs of A^(k) M_ov1 ... M_ovk."""
-    if k == 0:
-        return NCPoly.from_word("", sym.q_config.one())
-    chain = None
-    for x in matrix_copies(sym, "m", k):
-        chain = x if chain is None else chain * x
-    return sym.r_trace(sym.antisym(k) * chain, range(1, k + 1))
-
-
 def _bra_ket(v, X, u):
     acc = NCPoly.zero()
     for i, vi in enumerate(v):
@@ -352,26 +341,6 @@ def verify_determinants(ctx):
     return _report(ctx, "det-forms", {"N": sym.N, "m": m}, residuals, sample,
                    {"build": round(1000 * (time.perf_counter() - t0), 3)},
                    details)
-
-
-def verify_matr_id(ctx):
-    """Projector times the position chain equals the projector times the
-    bra-ket scalar, modulo the position ideal."""
-    sym = ctx.sym
-    m = sym.rank
-    t0 = time.perf_counter()
-    chain = _det_chain(sym, "m")
-    proj = sym.antisym(m)
-    pair = uv_factorize(proj, sym.q_config)
-    scalar = _bra_ket(pair.v, chain, pair.u)
-    lhs = proj * chain
-    rhs = proj.scale(scalar)
-    t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, lhs - rhs, m)
-    t2 = time.perf_counter()
-    return _report(ctx, "matr-id", {"N": sym.N, "m": m}, residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)})
 
 
 def verify_cap1(ctx):

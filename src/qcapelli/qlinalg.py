@@ -8,6 +8,13 @@ The ints 0/1 are backend-neutral constants, 0 is every ring's zero and
 zero tests use truthiness.  Products keep the order of their factors.
 Inversion, rank, the skew inverse and the rank-one factorization need
 scalar entries.
+
+The q-antisymmetrizer and q-symmetrizer towers grow one level at a time
+by tower_step; their holder (rcatalog.HeckeSymmetry) keeps the levels.
+rank_of reads the rank off such a tower and skew_inverse takes the top
+antisymmetrizer from its caller, so neither builds a projector.  The
+skew inverse Psi comes from one inversion of a reshuffle of R, and its
+calibrated partial trace is the trace weight C.
 """
 
 from __future__ import annotations
@@ -312,7 +319,6 @@ def check_hecke(R, cfg):
 @dataclass
 class SkewInverseData:
     psi: QMatrix
-    b_matrix: QMatrix
     c_matrix: QMatrix
 
 
@@ -336,12 +342,11 @@ def _flip_matrix(N):
     return out
 
 
-def skew_inverse(R, cfg):
-    """Solve Tr_2(R_12 Psi_23) = P_13 for Psi and calibrate the partial
-    traces of Psi into the B and C matrices, C being the one whose trace
-    normalization <A^(m)> = q^(-m^2) holds."""
+def skew_inverse(R, a_top, cfg):
+    """Solve Tr_2(R_12 Psi_23) = P_13 for Psi and pick the partial trace
+    of Psi that is the trace weight C: the one whose normalization
+    <A^(m)> = q^(-m^2) holds on the top antisymmetrizer a_top = A^(m)."""
     N = R.N
-    nn = N * N
     # reshuffle legs so the defining contraction becomes matrix inversion
     t = QMatrix.zeros(N, 2)
     for a in range(N):
@@ -355,92 +360,47 @@ def skew_inverse(R, cfg):
         tinv = matrix_inverse(t)
     except QLinError:
         raise SkewInverseError("braiding is not skew-invertible")
-    perm = _flip_matrix(N)
-    sol = tinv * perm
-    psi = QMatrix.zeros(N, 2)
-    for y in range(N):
-        for b in range(N):
-            for c in range(N):
-                for f in range(N):
-                    v = sol.rows[y * N + b][c * N + f]
-                    if v:
-                        psi.rows[y * N + c][b * N + f] = v
-    # defining identity, checked directly on the result
-    check = QMatrix.zeros(N, 2)
-    for a in range(N):
-        for c in range(N):
-            for d in range(N):
-                for f in range(N):
-                    acc = 0
-                    for b in range(N):
-                        for y in range(N):
-                            rv = R.rows[a * N + b][d * N + y]
-                            if not rv:
-                                continue
-                            pv = psi.rows[y * N + c][b * N + f]
-                            if pv:
-                                acc = acc + rv * pv
-                    check.rows[a * N + c][d * N + f] = acc
-    if check != _flip_matrix(N):
+    # Psi[(y,c)][(b,f)] = T^(-1)[(y,b)][(f,c)]
+    psi = QMatrix(N, 2, [[tinv.rows[y * N + b][f * N + c] or 0
+                          for b in range(N) for f in range(N)]
+                         for y in range(N) for c in range(N)])
+    ident = QMatrix.identity(N, 1)
+    if partial_trace(embed(R, 1, 3) * embed(psi, 2, 3), 2, ident) \
+            != _flip_matrix(N):
         raise SkewInverseError("skew inverse failed its defining contraction")
 
-    cand_leg2 = QMatrix.zeros(N, 1)
-    cand_leg1 = QMatrix.zeros(N, 1)
-    for i in range(N):
-        for j in range(N):
-            acc2 = 0
-            acc1 = 0
-            for k in range(N):
-                acc2 = acc2 + psi.rows[i * N + k][j * N + k]
-                acc1 = acc1 + psi.rows[k * N + i][k * N + j]
-            cand_leg2.rows[i][j] = acc2
-            cand_leg1.rows[i][j] = acc1
-
     # Structurally the trace weight is the leg-1 trace; the normalization
-    # <A^(m)> = q^(-m^2) corrects the assignment if that choice fails it.
-    rank = rank_of(R, cfg).rank
-    a_top = antisymmetrizer(R, rank, cfg)
-    target = cfg.qpow(-rank * rank)
-    if r_trace(a_top, range(1, rank + 1), cand_leg1) == target:
-        return SkewInverseData(psi=psi, b_matrix=cand_leg2, c_matrix=cand_leg1)
-    if r_trace(a_top, range(1, rank + 1), cand_leg2) == target:
-        return SkewInverseData(psi=psi, b_matrix=cand_leg1, c_matrix=cand_leg2)
+    # corrects the assignment if that choice fails it.
+    m = a_top.p
+    target = cfg.qpow(-m * m)
+    for weight in (partial_trace(psi, 1, ident), partial_trace(psi, 2, ident)):
+        if r_trace(a_top, range(1, m + 1), weight) == target:
+            return SkewInverseData(psi=psi, c_matrix=weight)
     raise CalibrationError("neither partial trace satisfies the normalization")
 
 
-def antisymmetrizer(R, k, cfg):
-    if k < 1:
-        raise QLinError("tower index must be >= 1")
-    N = R.N
-    a_prev = QMatrix.identity(N, 1)
-    for j in range(2, k + 1):
-        pad = embed_tail(a_prev, j)
-        rj = embed(R, j - 1, j)
-        mid = QMatrix.identity(N, j).scale(cfg.qpow(j - 1)) - rj.scale(cfg.qnum(j - 1))
-        a_prev = (pad * mid * pad).scale(scalar_inv(cfg.qnum(j)))
-    return a_prev
+def tower_step(R, prev, cfg, sign):
+    """Level j of a projector tower from level j-1 (prev, on j-1 legs):
+    pad.mid.pad / [j]_q with pad = prev on the first j-1 legs and
+    mid = q^(j-1) I - [j-1]_q R_(j-1) for the q-antisymmetrizer A^(j)
+    (sign -1), mid = q^(1-j) I + [j-1]_q R_(j-1) for the q-symmetrizer
+    S^(j) (sign +1).  Both towers start from the identity on one leg."""
+    j = prev.p + 1
+    pad = embed_tail(prev, j)
+    mid = QMatrix.identity(R.N, j).scale(cfg.qpow(-sign * (j - 1)))
+    rj = embed(R, j - 1, j).scale(cfg.qnum(j - 1))
+    mid = mid + rj if sign > 0 else mid - rj
+    return (pad * mid * pad).scale(scalar_inv(cfg.qnum(j)))
 
 
-def symmetrizer(R, k, cfg):
-    if k < 1:
-        raise QLinError("tower index must be >= 1")
-    N = R.N
-    s_prev = QMatrix.identity(N, 1)
-    for j in range(2, k + 1):
-        pad = embed_tail(s_prev, j)
-        rj = embed(R, j - 1, j)
-        mid = QMatrix.identity(N, j).scale(cfg.qpow(1 - j)) + rj.scale(cfg.qnum(j - 1))
-        s_prev = (pad * mid * pad).scale(scalar_inv(cfg.qnum(j)))
-    return s_prev
-
-
-def rank_of(R, cfg, cap=6):
-    """Smallest m with a rank-one top antisymmetrizer and a vanishing
-    (m+1)-st one; dims records dim Im A^(k) for k = 1 .. m+1."""
-    dims = [R.N]
-    prev = R.N
+def rank_of(antisym, N, cap=6):
+    """Smallest m with a rank-one A^(m) and a vanishing A^(m+1), read off
+    the tower antisym(k) = A^(k) on an N-dimensional space; dims records
+    dim Im A^(k) for k = 1 .. m+1."""
+    dims = [N]
+    prev = N
     for k in range(2, cap + 2):
-        d = matrix_rank(antisymmetrizer(R, k, cfg))
+        d = matrix_rank(antisym(k))
         dims.append(d)
         if d == 0:
             if prev != 1:

@@ -1,8 +1,12 @@
 """Catalog of Hecke symmetries, validated at construction.
 
 Every symmetry that enters the engine passes the same gate: braid
-relation, Hecke condition, skew-invertibility (with trace-weight
-calibration), and a finite-rank probe of the antisymmetrizer tower.
+relation, Hecke condition, a finite-rank probe of the antisymmetrizer
+tower, and skew-invertibility (with trace-weight calibration on the top
+antisymmetrizer).  Each symmetry holds its two projector towers, the
+q-antisymmetrizers A^(k) and the q-symmetrizers S^(k), and builds each
+level once: the rank probe, the calibration and every later caller read
+the same levels.
 """
 
 from __future__ import annotations
@@ -11,17 +15,17 @@ import json
 import os
 from fractions import Fraction
 
+from .ncalg import MAX_N
 from .qlinalg import (
     QLinError,
     QMatrix,
-    antisymmetrizer,
     check_braid,
     check_hecke,
     matrix_inverse,
     r_trace,
     rank_of,
     skew_inverse,
-    symmetrizer,
+    tower_step,
 )
 from .scalar import QConfig, parse_scalar
 
@@ -40,19 +44,21 @@ class CatalogValidationError(CatalogError):
 
 
 class HeckeSymmetry:
-    """A validated Hecke symmetry bundled with its derived data."""
+    """A validated Hecke symmetry bundled with its derived data.
 
-    def __init__(self, name, R, q_config, skew, rank_report, rebuilder=None):
+    validate_symmetry fills in rank_report and skew."""
+
+    def __init__(self, name, R, q_config, rebuilder=None):
         self.name = name
         self.N = R.N
         self.R = R
         self.q_config = q_config
-        self.skew = skew
-        self.rank_report = rank_report
+        self.skew = None
+        self.rank_report = None
         self.R_inv = matrix_inverse(R)
         self._rebuilder = rebuilder
-        self._anti = {}
-        self._symm = {}
+        self._anti = [QMatrix.identity(R.N, 1)]
+        self._symm = [QMatrix.identity(R.N, 1)]
 
     @property
     def rank(self):
@@ -62,15 +68,18 @@ class HeckeSymmetry:
     def c_matrix(self):
         return self.skew.c_matrix
 
+    def _level(self, tower, k, sign):
+        if k < 1:
+            raise QLinError("tower index must be >= 1")
+        while len(tower) < k:
+            tower.append(tower_step(self.R, tower[-1], self.q_config, sign))
+        return tower[k - 1]
+
     def antisym(self, k):
-        if k not in self._anti:
-            self._anti[k] = antisymmetrizer(self.R, k, self.q_config)
-        return self._anti[k]
+        return self._level(self._anti, k, -1)
 
     def ssym(self, k):
-        if k not in self._symm:
-            self._symm[k] = symmetrizer(self.R, k, self.q_config)
-        return self._symm[k]
+        return self._level(self._symm, k, +1)
 
     def r_trace(self, X, legs):
         return r_trace(X, legs, self.c_matrix)
@@ -91,15 +100,29 @@ def validate_symmetry(R, cfg, name, rank_cap=6, rebuilder=None):
         raise CatalogValidationError(name, "braid")
     if not check_hecke(R, cfg):
         raise CatalogValidationError(name, "hecke")
+    sym = HeckeSymmetry(name, R, cfg, rebuilder)
     try:
-        report = rank_of(R, cfg, cap=rank_cap)
+        sym.rank_report = rank_of(sym.antisym, sym.N, cap=rank_cap)
     except QLinError as e:
         raise CatalogValidationError(name, "rank", str(e))
     try:
-        skew = skew_inverse(R, cfg)
+        sym.skew = skew_inverse(R, sym.antisym(sym.rank), cfg)
     except QLinError as e:
         raise CatalogValidationError(name, "skew-invertibility", str(e))
-    return HeckeSymmetry(name, R, cfg, skew, report, rebuilder)
+    return sym
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _zero_braiding(N, where):
+    """The zero two-leg matrix every catalog source fills in; N must fit
+    the letter alphabet of the double's generators (ncalg.MAX_N)."""
+    if not _is_int(N) or not 1 <= N <= MAX_N:
+        raise CatalogError("%s: N must be an integer in 1..%d, got %r"
+                           % (where, MAX_N, N))
+    return QMatrix.zeros(N, 2)
 
 
 def dj(N, cfg=None):
@@ -109,7 +132,7 @@ def dj(N, cfg=None):
         cfg = QConfig.symbolic()
     q = cfg.qpow(1)
     hop = cfg.qpow(1) - cfg.qpow(-1)
-    R = QMatrix.zeros(N, 2)
+    R = _zero_braiding(N, "dj")
     for a in range(N):
         for b in range(N):
             if a == b:
@@ -125,7 +148,7 @@ def dj(N, cfg=None):
 def flip(N):
     """Plain permutation of the two legs; a Hecke symmetry only at q = 1."""
     cfg = QConfig.fixed(1, allow_unit=True)
-    R = QMatrix.zeros(N, 2)
+    R = _zero_braiding(N, "flip")
     for a in range(N):
         for b in range(N):
             R.rows[a * N + b][b * N + a] = Fraction(1)
@@ -146,26 +169,33 @@ def load(path, name=None):
             record = json.load(fh)
         except json.JSONDecodeError as e:
             raise CatalogError("%s: not valid JSON (%s)" % (path, e))
+    if not isinstance(record, dict):
+        raise CatalogError("%s: expected a JSON object" % (path,))
     for key in ("N", "q", "entries"):
         if key not in record:
             raise CatalogError("%s: missing field %r" % (path, key))
     N = record["N"]
-    if not isinstance(N, int) or N < 1:
-        raise CatalogError("%s: N must be a positive integer" % (path,))
+    R = _zero_braiding(N, path)
     qspec = str(record["q"])
     if qspec == "symbolic":
         cfg = QConfig.symbolic()
     else:
-        cfg = QConfig.fixed(Fraction(qspec))
-    R = QMatrix.zeros(N, 2)
+        try:
+            cfg = QConfig.fixed(Fraction(qspec))
+        except (ValueError, ZeroDivisionError):
+            raise CatalogError("%s: q must be 'symbolic' or a rational, "
+                               "got %r" % (path, record["q"]))
+    if not isinstance(record["entries"], list):
+        raise CatalogError("%s: entries must be a list" % (path,))
     for ent in record["entries"]:
         try:
             i, j, k, l = ent["i"], ent["j"], ent["k"], ent["l"]
             value = ent["value"]
         except (KeyError, TypeError):
             raise CatalogError("%s: malformed entry %r" % (path, ent))
-        if not all(1 <= t <= N for t in (i, j, k, l)):
-            raise CatalogError("%s: entry index out of range in %r" % (path, ent))
+        if not all(_is_int(t) and 1 <= t <= N for t in (i, j, k, l)):
+            raise CatalogError("%s: entry indices must be integers in "
+                               "1..%d in %r" % (path, N, ent))
         R.rows[(i - 1) * N + (j - 1)][(k - 1) * N + (l - 1)] = \
             parse_scalar(str(value), cfg)
     if name is None:

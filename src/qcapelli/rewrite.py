@@ -4,9 +4,10 @@ Every rewrite goes through one class, Rewriter: oriented rules
 lhs -> {word: coeff} applied at the leftmost redex, with a per-word
 normal-form memo.  It serves four rule tables:
 
-* the exchange table (derive_exchange), solved once per symmetry from
-  the permutation relation D1 R M1 = R M1 R^(-1) D1 R^(-1) + I, moves
-  every derivative letter right of every position letter (normal_order);
+* the exchange table (derive_exchange), read once per symmetry off the
+  skew inverse Psi, which solves the permutation relation
+  D1 R M1 = R M1 R^(-1) D1 R^(-1) + I, moves every derivative letter
+  right of every position letter (normal_order);
 * the row reduction of the quadratic relations (_rref_rules)
   back-substitutes by rewriting each pivot row with the pivot rows;
 * completion (complete) reduces each new relation and interreduces the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 
 from .ncalg import NCPoly, d_char, gen_matrix, m_char, word_key
-from .qlinalg import QMatrix, embed_tail, matrix_inverse
+from .qlinalg import embed_tail
 from .scalar import inv as scalar_inv
 
 
@@ -135,29 +136,16 @@ def derive_exchange(sym):
     Rewriter taking each word 'dM' to its normal-ordered form, a sum of
     'Md' words plus a constant on the empty word.
 
-    The unknowns for fixed outer indices enter through the invertible
-    reshuffle of R that also defines the skew inverse, so one exact
-    matrix inversion yields the whole table.
+    For fixed outer indices the unknowns enter through the reshuffle of R
+    whose inverse defines the skew inverse, so the table is read off the
+    validated Psi of the symmetry: the coefficient of rhs[(a,c)][(e,f)] in
+    the rule for d_a^x m_u^e is Psi[(f,u)][(c,x)].
     """
     N = sym.N
-    R, Rinv = sym.R, sym.R_inv
+    R, Rinv, psi = sym.R, sym.R_inv, sym.skew.psi
     m1 = embed_tail(gen_matrix("m", N), 2)
     d1 = embed_tail(gen_matrix("d", N), 2)
     rhs = (R * m1 * Rinv * d1 * Rinv).shifted(1)
-
-    t = QMatrix.zeros(N, 2)
-    for c in range(N):
-        for f in range(N):
-            for x in range(N):
-                for u in range(N):
-                    v = R.rows[x * N + c][u * N + f]
-                    if v:
-                        t.rows[c * N + f][x * N + u] = v
-    try:
-        tinv = matrix_inverse(t)
-    except Exception as e:
-        raise RewriteError(
-            "exchange solve failed on a skew-invertible input: %s" % (e,))
 
     rules = {}
     for a in range(N):
@@ -165,10 +153,9 @@ def derive_exchange(sym):
             for x in range(N):
                 for u in range(N):
                     poly = NCPoly.zero()
-                    trow = tinv.rows[x * N + u]
                     for c in range(N):
                         for f in range(N):
-                            w = trow[c * N + f]
+                            w = psi.rows[f * N + u][c * N + x]
                             if w:
                                 poly = poly + w * rhs.rows[a * N + c][e * N + f]
                     for word in poly.terms:

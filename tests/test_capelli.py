@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,12 @@ from qcapelli import weyl
 from qcapelli.capelli import (
     RewriteContext,
     VerifyError,
+    _bra_ket,
+    _det_chain,
+    _reduce_matrix,
+    _report,
     det_r,
     det_rinv,
-    e_k,
     matrix_copies,
     rigor_bound,
     shift_value,
@@ -21,7 +25,6 @@ from qcapelli.capelli import (
     verify_determinants,
     verify_exchange_general,
     verify_h_copy,
-    verify_matr_id,
     verify_matrix_identity,
     verify_mre,
     verify_re_ideal,
@@ -29,9 +32,42 @@ from qcapelli.capelli import (
     verify_shift_scan,
     verify_traced,
 )
+from qcapelli.ncalg import NCPoly
+from qcapelli.qlinalg import uv_factorize
 from qcapelli.rcatalog import dj, flip, load
 from qcapelli.rewrite import DegreeCapError
 from qcapelli.scalar import QConfig, scalar_to_text
+
+
+def e_k(sym, k):
+    """Elementary symmetric polynomial of the position matrix: the
+    R-trace over k legs of A^(k) M_ov1 ... M_ovk."""
+    if k == 0:
+        return NCPoly.from_word("", sym.q_config.one())
+    chain = None
+    for x in matrix_copies(sym, "m", k):
+        chain = x if chain is None else chain * x
+    return sym.r_trace(sym.antisym(k) * chain, range(1, k + 1))
+
+
+def verify_matr_id(ctx):
+    """Projector times the position chain equals the projector times the
+    bra-ket scalar, modulo the position ideal."""
+    sym = ctx.sym
+    m = sym.rank
+    t0 = time.perf_counter()
+    chain = _det_chain(sym, "m")
+    proj = sym.antisym(m)
+    pair = uv_factorize(proj, sym.q_config)
+    scalar = _bra_ket(pair.v, chain, pair.u)
+    lhs = proj * chain
+    rhs = proj.scale(scalar)
+    t1 = time.perf_counter()
+    residuals, sample = _reduce_matrix(ctx, lhs - rhs, m)
+    t2 = time.perf_counter()
+    return _report(ctx, "matr-id", {"N": sym.N, "m": m}, residuals, sample,
+                   {"build": round(1000 * (t1 - t0), 3),
+                    "reduction": round(1000 * (t2 - t1), 3)})
 
 
 _CTX = {}

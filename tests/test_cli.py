@@ -173,6 +173,50 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch):
     assert text == "internal error: RuntimeError: boom\n"
 
 
+def test_crash_in_a_suite_check_is_not_a_verdict(monkeypatch):
+    from qcapelli import suites
+
+    def broken(*args):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(suites, "skew_inverse", broken)
+    code, text = run(["suite", "full"])
+    assert code == EXIT_INTERNAL
+    assert "internal error: TypeError: boom" in text
+
+
+def _dj2_file(path, **changes):
+    rec = {"N": 2, "q": "3/5", "entries": [
+        {"i": 1, "j": 1, "k": 1, "l": 1, "value": "q"},
+        {"i": 2, "j": 2, "k": 2, "l": 2, "value": "q"},
+        {"i": 1, "j": 2, "k": 2, "l": 1, "value": "1"},
+        {"i": 2, "j": 1, "k": 1, "l": 2, "value": "1"},
+        {"i": 1, "j": 2, "k": 1, "l": 2, "value": "q - q^(-1)"},
+    ]}
+    rec.update(changes)
+    path.write_text(json.dumps(rec))
+    return "file:%s" % path
+
+
+@pytest.mark.parametrize("command", ["verify", "validate"])
+def test_malformed_symmetry_input_is_config_error(tmp_path, command):
+    bad_index = [{"i": "1", "j": 1, "k": 1, "l": 1, "value": "q"}]
+    sources = [
+        ["--rmatrix", _dj2_file(tmp_path / "q1.rmx", q="abc")],
+        ["--rmatrix", _dj2_file(tmp_path / "q2.rmx", q="1/0")],
+        ["--rmatrix", _dj2_file(tmp_path / "i.rmx", entries=bad_index)],
+        ["--rmatrix", _dj2_file(tmp_path / "n.rmx", N=6)],
+        ["--N", "-1"],
+        ["--N", "0"],
+        ["--N", "6"],
+        ["--rmatrix", "flip", "--N", "6"],
+    ]
+    for source in sources:
+        code, text = run([command] + source)
+        assert code == EXIT_CONFIG, (source, text)
+        assert text.startswith("configuration error"), (source, text)
+
+
 def test_bad_q_is_config_error():
     code, text = run(["verify", "--identity", "th", "--q", "0"])
     assert code == EXIT_CONFIG

@@ -6,10 +6,11 @@ import pytest
 from qcapelli.capelli import RewriteContext
 from qcapelli.ncalg import NCPoly, gen_matrix
 from qcapelli.qlinalg import (
+    CalibrationError,
     FactorError,
+    QLinError,
     QMatrix,
     RankError,
-    antisymmetrizer,
     check_braid,
     check_hecke,
     embed,
@@ -20,7 +21,6 @@ from qcapelli.qlinalg import (
     r_trace,
     rank_of,
     skew_inverse,
-    symmetrizer,
     uv_factorize,
 )
 from qcapelli.rcatalog import dj, flip
@@ -122,12 +122,15 @@ def test_skew_inverse_values_and_round_trip():
     assert scalar_to_text(s1.c_matrix.rows[0][0]) == "q^(-1)"
     s2 = dj(2)
     cfg = s2.q_config
+    skew = skew_inverse(s2.R, s2.antisym(2), cfg)
+    assert skew.psi == s2.skew.psi
     expect = [[cfg.qpow(-1), 0], [0, cfg.qpow(-3)]]
+    assert skew.c_matrix.rows == expect
     assert s2.c_matrix.rows == expect
     # round trip: Tr_2(R_12 psi_23) = P_13
     N = 2
     r12 = embed(s2.R, 1, 3)
-    psi23 = embed(s2.skew.psi, 2, 3)
+    psi23 = embed(skew.psi, 2, 3)
     traced = partial_trace(r12 * psi23, 2, QMatrix.identity(N, 1))
     p13 = QMatrix.zeros(N, 2)
     for a in range(N):
@@ -137,18 +140,22 @@ def test_skew_inverse_values_and_round_trip():
     f = flip(2)
     assert f.c_matrix == QMatrix.identity(2, 1)
     assert f.c_matrix.trace() == 2
+    assert skew_inverse(f.R, f.antisym(2), f.q_config).c_matrix == f.c_matrix
+    # the calibration needs A^(m): a lower level fails the normalization
+    with pytest.raises(CalibrationError):
+        skew_inverse(s2.R, s2.antisym(1), cfg)
 
 
 def test_symmetrizer_tower_properties():
     for sym in (dj(2), flip(2), dj(3, QConfig.fixed(Fraction(3, 5)))):
         R, cfg = sym.R, sym.q_config
         for k in range(1, sym.rank + 2):
-            A = antisymmetrizer(R, k, cfg)
-            S = symmetrizer(R, k, cfg)
+            A = sym.antisym(k)
+            S = sym.ssym(k)
             assert A * A == A
             assert S * S == S
             if k > 1:
-                a_prev = embed_tail(antisymmetrizer(R, k - 1, cfg), k)
+                a_prev = embed_tail(sym.antisym(k - 1), k)
                 assert A == A * a_prev
                 assert A == a_prev * A
                 rinv = matrix_inverse(R)
@@ -158,10 +165,13 @@ def test_symmetrizer_tower_properties():
                     assert A * ri == A.scale(-cfg.qpow(-1))
                     assert ri * A == A.scale(-cfg.qpow(-1))
                     assert A * rii == A.scale(-cfg.qpow(1))
-                    s_emb = symmetrizer(R, k, cfg)
-                    assert s_emb * ri == s_emb.scale(cfg.qpow(1))
-                    assert ri * s_emb == s_emb.scale(cfg.qpow(1))
-                    assert s_emb * rii == s_emb.scale(cfg.qpow(-1))
+                    assert S * ri == S.scale(cfg.qpow(1))
+                    assert ri * S == S.scale(cfg.qpow(1))
+                    assert S * rii == S.scale(cfg.qpow(-1))
+    with pytest.raises(QLinError):
+        sym.antisym(0)
+    with pytest.raises(QLinError):
+        sym.ssym(0)
 
 
 def test_antisymmetrizer_explicit_dj2():
@@ -193,12 +203,14 @@ def test_r_trace_of_identity_is_trace_of_weight():
 def test_rank_detection():
     cfg = QConfig.fixed(Fraction(3, 5))
     for N in (1, 2, 3):
-        rep = rank_of(dj(N, cfg).R, cfg)
+        sym = dj(N, cfg)
+        rep = rank_of(sym.antisym, N)
         assert rep.rank == N
         assert rep.dims[-1] == 0
         assert rep.dims[-2] == 1
+        assert rep.dims == sym.rank_report.dims
     with pytest.raises(RankError):
-        rank_of(dj(3, cfg).R, cfg, cap=2)
+        rank_of(dj(3, cfg).antisym, 3, cap=2)
 
 
 def test_matrix_inverse_and_rank():

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from qcapelli import rcatalog
 from qcapelli.capelli import RewriteContext, verify_matrix_identity
 from qcapelli.cli import EXIT_PASS, main
 from qcapelli.ncalg import gen_matrix
-from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse
+from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse, tower_step
 from qcapelli.rcatalog import (
     CatalogError,
     CatalogValidationError,
@@ -44,6 +45,25 @@ def test_dj3_rank():
     sym = dj(3, QConfig.fixed(Fraction(3, 5)))
     assert sym.rank == 3
     assert sym.rank_report.dims == [3, 3, 1, 0]
+
+
+def test_each_tower_level_is_built_once(monkeypatch):
+    steps = {-1: 0, 1: 0}
+
+    def counted(R, prev, cfg, sign):
+        steps[sign] += 1
+        return tower_step(R, prev, cfg, sign)
+
+    monkeypatch.setattr(rcatalog, "tower_step", counted)
+    sym = dj(3, QConfig.fixed(Fraction(3, 5)))
+    # the rank probe builds A(2), A(3), A(4); the calibration reuses A(3)
+    assert steps == {-1: 3, 1: 0}
+    for k in range(1, 5):
+        sym.antisym(k)
+    assert steps == {-1: 3, 1: 0}
+    sym.ssym(3)
+    sym.ssym(2)
+    assert steps == {-1: 3, 1: 2}
 
 
 def test_flip_is_involutive_at_unit_q():
@@ -123,11 +143,28 @@ def test_load_structural_errors(tmp_path):
     path.write_text(json.dumps({"N": 2, "entries": []}))
     with pytest.raises(CatalogError):
         load(str(path))
-    rec = _dj2_record("symbolic")
-    rec["entries"][0]["i"] = 5
-    path.write_text(json.dumps(rec))
-    with pytest.raises(CatalogError):
-        load(str(path))
+    bad_records = [[], {"N": 2, "q": "1/2", "entries": 7}]
+    for field, value in (("N", 0), ("N", 6), ("N", True), ("N", "2"),
+                         ("q", "abc"), ("q", "1/0")):
+        rec = _dj2_record("symbolic")
+        rec[field] = value
+        bad_records.append(rec)
+    for value in (5, 0, "1", 1.0):
+        rec = _dj2_record("symbolic")
+        rec["entries"][0]["i"] = value
+        bad_records.append(rec)
+    for rec in bad_records:
+        path.write_text(json.dumps(rec))
+        with pytest.raises(CatalogError) as err:
+            load(str(path))
+        assert not isinstance(err.value, CatalogValidationError)
+
+
+@pytest.mark.parametrize("N", [0, -1, 6])
+def test_catalog_families_reject_dimensions_outside_the_alphabet(N):
+    for family in (dj, flip):
+        with pytest.raises(CatalogError):
+            family(N)
 
 
 # Conjugates (G x G) dj(N) (G x G)^(-1) by small integer G, and the

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from qcapelli.ncalg import NCError, NCPoly, copy_up, d_char, gen_matrix, m_char
-from qcapelli.qlinalg import QMatrix, embed_tail
+from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse
 from qcapelli.rcatalog import dj, flip
 from qcapelli.rewrite import (
     BadSpecializationError,
@@ -56,6 +57,39 @@ def test_exchange_classical_limit_is_leibniz():
                     if (i, j) == (v, u):
                         want[""] = one
                     assert table.rules[key] == want
+
+
+def exchange_by_inversion(sym):
+    """Reference solve of the permutation relation, independent of the
+    skew inverse: invert the reshuffle T[(c,f)][(x,u)] = R[(x,c)][(u,f)]
+    and apply it to the right-hand side."""
+    N, R = sym.N, sym.R
+    m1 = embed_tail(gen_matrix("m", N), 2)
+    d1 = embed_tail(gen_matrix("d", N), 2)
+    rhs = (R * m1 * sym.R_inv * d1 * sym.R_inv).shifted(1)
+    t = QMatrix.zeros(N, 2)
+    for c, f, x, u in itertools.product(range(N), repeat=4):
+        t.rows[c * N + f][x * N + u] = R.rows[x * N + c][u * N + f]
+    tinv = matrix_inverse(t)
+    rules = {}
+    for a, e, x, u in itertools.product(range(N), repeat=4):
+        poly = NCPoly.zero()
+        for c, f in itertools.product(range(N), repeat=2):
+            w = tinv.rows[x * N + u][c * N + f]
+            if w:
+                poly = poly + w * rhs.rows[a * N + c][e * N + f]
+        rules[d_char(a + 1, x + 1, N) + m_char(u + 1, e + 1, N)] = poly.terms
+    return rules
+
+
+def test_exchange_matches_the_inversion_reference():
+    # a local import: test_rcatalog imports this module at load time
+    from test_rcatalog import conjugate, twist
+
+    q35 = QConfig.fixed(Fraction(3, 5))
+    for sym in (dj(2), dj(3, q35), flip(2), conjugate(2, [[2, 1], [1, 1]]),
+                twist(3, Fraction(7, 3))):
+        assert derive_exchange(sym).rules == exchange_by_inversion(sym)
 
 
 def test_exchange_round_trip():

@@ -14,8 +14,8 @@ import time
 from fractions import Fraction
 
 from . import weyl
-from .ncalg import NCPoly, copy_up, gen_matrix
-from .qlinalg import QMatrix, embed, embed_tail, uv_factorize
+from .ncalg import MAX_N, NCPoly, copy_up, gen_matrix
+from .qlinalg import QMatrix, embed, embed_tail, rank_factor, rows_times
 from .rewrite import (
     DegreeCapError,
     complete,
@@ -132,10 +132,10 @@ def _sample(entry, poly, cap=3):
             "terms": [[w, scalar_to_text(c)] for w, c in terms]}
 
 
-def _reduce_matrix(ctx, diff, degree, sample_cap=5):
+def _reduce_matrix(ctx, rows, degree, sample_cap=5):
     residuals = 0
     sample = []
-    for i, row in enumerate(diff.rows):
+    for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if not v:
                 continue
@@ -183,46 +183,67 @@ def shift_value(cfg, i, variant):
 
 
 def theorem_sides(sym, k, variant="column", alpha=None):
-    """Both sides of the factorization identity, unreduced.
+    """Both sides of the factorization identity on the row space of its
+    projector, unreduced.
 
-    LHS: P X1 (X2 + s2 I) ... (Xk + sk I) P with X = MD and P the rank-k
-    projector; RHS: q^(k(k-1)) (column) or q^(-k(k-1)) (row) times
-    P M1 ... Mk Dk ... D1.  alpha, when given, replaces the final shift.
+    The identity is LHS = RHS with LHS = P X1 (X2 + s2 I) ... (Xk + sk I) P,
+    X = MD and P the rank-k projector, and RHS = c P M1 ... Mk Dk ... D1
+    with c = q^(k(k-1)) (column) or q^(-k(k-1)) (row).  For the rank
+    factorization P = U E (qlinalg.rank_factor) this returns U and the
+    row blocks E.LHS and E.RHS: P.side = U.(E.side) and E = E P, so
+    P W = 0 exactly when E W = 0.  Each block is multiplied from the left
+    by one generator copy at a time, row.(MD + s) = (row.M).D + s row,
+    so no two matrices of polynomials are multiplied.  alpha, when
+    given, replaces the final shift.
     """
     if k < 1:
         raise VerifyError("k must be positive")
     cfg = sym.q_config
     proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
+    u, e = rank_factor(proj)
     mcop = matrix_copies(sym, "m", k)
     dcop = matrix_copies(sym, "d", k)
-    lcop = [a * b for a, b in zip(mcop, dcop)]
 
-    lhs = proj * lcop[0]
+    def times(block, x):
+        return rows_times(block, x.rows, x.dim)
+
+    lhs = times(times(e, mcop[0]), dcop[0])
     for i in range(2, k + 1):
         s = shift_value(cfg, i, variant)
         if alpha is not None and i == k:
             s = alpha
-        lhs = lhs * lcop[i - 1].shifted(s)
-    lhs = lhs * proj
+        moved = times(times(lhs, mcop[i - 1]), dcop[i - 1])
+        lhs = [[a + s * b if b else a for a, b in zip(ra, rb)]
+               for ra, rb in zip(moved, lhs)]
+    lhs = times(lhs, proj)
 
-    chain = mcop[0]
-    for x in mcop[1:]:
-        chain = chain * x
-    for x in reversed(dcop):
-        chain = chain * x
     sign = 1 if variant == "column" else -1
-    rhs = (proj * chain).scale(cfg.qpow(sign * k * (k - 1)))
-    return lhs, rhs
+    c = cfg.qpow(sign * k * (k - 1))
+    rhs = [[c * v if v else 0 for v in row] for row in e]
+    for x in mcop + dcop[::-1]:
+        rhs = times(rhs, x)
+    return u, lhs, rhs
+
+
+def _block_diff(lhs, rhs):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+
+
+def _lift(u, block, N, k):
+    """U.block on k legs: the projector times a side, from its row block."""
+    urows = [[col[i] for col in u] for i in range(N ** k)]
+    return QMatrix(N, k, rows_times(urows, block, N ** k))
 
 
 def verify_matrix_identity(ctx, k, variant="column", alpha=None,
                            identity=None):
-    """Entrywise reduction of LHS - RHS of the factorization identity."""
+    """Entrywise reduction of E.(LHS - RHS), the r x dim row block of the
+    factorization identity; details["projector_rank"] is r."""
     sym = ctx.sym
     t0 = time.perf_counter()
-    lhs, rhs = theorem_sides(sym, k, variant, alpha)
+    u, lhs, rhs = theorem_sides(sym, k, variant, alpha)
     t1 = time.perf_counter()
-    diff = lhs - rhs
+    diff = _block_diff(lhs, rhs)
     del lhs, rhs  # free the two sides before the reduction memos grow
     residuals, sample = _reduce_matrix(ctx, diff, k)
     t2 = time.perf_counter()
@@ -232,19 +253,20 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None,
         params["alpha"] = scalar_to_text(alpha)
     return _report(ctx, name, params, residuals, sample,
                    {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)})
+                    "reduction": round(1000 * (t2 - t1), 3)},
+                   {"projector_rank": len(u)})
 
 
 def verify_traced(ctx, k, variant="column"):
-    """R-trace over all k legs of both sides, then one scalar reduction."""
+    """R-trace over all k legs of P.(LHS - RHS), then one scalar
+    reduction."""
     sym = ctx.sym
     t0 = time.perf_counter()
-    lhs, rhs = theorem_sides(sym, k, variant)
-    legs = range(1, k + 1)
-    tl = sym.r_trace(lhs, legs)
-    tr = sym.r_trace(rhs, legs)
+    u, lhs, rhs = theorem_sides(sym, k, variant)
+    traced = sym.r_trace(_lift(u, _block_diff(lhs, rhs), sym.N, k),
+                         range(1, k + 1))
     t1 = time.perf_counter()
-    res = ctx.reduce_poly(tl - tr, k)
+    res = ctx.reduce_poly(traced, k)
     t2 = time.perf_counter()
     residuals = 0 if res.is_zero() else 1
     sample = [] if res.is_zero() else [_sample(("trace",), res)]
@@ -287,8 +309,8 @@ def _det_poly(ctx, kind):
     proj = sym.antisym(m)
     traced = (sym.r_trace(proj * chain, range(1, m + 1))
               * sym.q_config.qpow(m * m))
-    pair = uv_factorize(proj, sym.q_config)
-    usual = _bra_ket(pair.v, chain, pair.u)
+    (u,), (v,) = rank_factor(proj)
+    usual = _bra_ket(v, chain, u)
     gap = ctx.reduce_poly(traced - usual, m)
     if not gap.is_zero():
         raise VerifyError(
@@ -321,19 +343,17 @@ def verify_determinants(ctx):
                        [{"entry": ["forms"], "terms": [[str(e), "1"]]}],
                        {"build": round(1000 * (time.perf_counter() - t0), 3)})
     m = sym.rank
-    pair = uv_factorize(sym.antisym(m), sym.q_config)
+    (u,), (v,) = rank_factor(sym.antisym(m))
     lam = sym.q_config.from_fraction(Fraction(5, 3))
     inv_lam = sym.q_config.one() / lam
     chain_m = _det_chain(sym, "m")
     chain_d = _det_chain(sym, "d")
-    scaled_u = [x * lam if x else 0 for x in pair.u]
-    scaled_v = [x * inv_lam if x else 0 for x in pair.v]
-    if _bra_ket(scaled_v, chain_m, scaled_u) != _bra_ket(pair.v, chain_m,
-                                                         pair.u):
+    scaled_u = [x * lam if x else 0 for x in u]
+    scaled_v = [x * inv_lam if x else 0 for x in v]
+    if _bra_ket(scaled_v, chain_m, scaled_u) != _bra_ket(v, chain_m, u):
         residuals += 1
         sample.append({"entry": ["gauge-m"], "terms": []})
-    if _bra_ket(scaled_v, chain_d, scaled_u) != _bra_ket(pair.v, chain_d,
-                                                         pair.u):
+    if _bra_ket(scaled_v, chain_d, scaled_u) != _bra_ket(v, chain_d, u):
         residuals += 1
         sample.append({"entry": ["gauge-d"], "terms": []})
     details["det_m_words"] = len(dm.terms)
@@ -387,7 +407,7 @@ def verify_mre(ctx):
     lr = l1 * R
     lhs = rl * R * l1 - lr * l1 * R
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, lhs - (rl - lr), 2)
+    residuals, sample = _reduce_matrix(ctx, (lhs - (rl - lr)).rows, 2)
     t2 = time.perf_counter()
     return _report(ctx, "mre", {"N": N}, residuals, sample,
                    {"build": round(1000 * (t1 - t0), 3),
@@ -411,7 +431,7 @@ def verify_re_ideal(ctx):
     lhs = d1 * y
     rhs = y * d1 * tail
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, lhs - rhs, 3)
+    residuals, sample = _reduce_matrix(ctx, (lhs - rhs).rows, 3)
     t2 = time.perf_counter()
     return _report(ctx, "re-ideal", {"N": N}, residuals, sample,
                    {"build": round(1000 * (t1 - t0), 3),
@@ -428,7 +448,7 @@ def verify_h_copy(ctx, p):
     pair = mcop[p - 1] * mcop[p]
     diff = rp * pair - pair * rp
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, diff, 2)
+    residuals, sample = _reduce_matrix(ctx, diff.rows, 2)
     t2 = time.perf_counter()
     return _report(ctx, "h-copy", {"N": sym.N, "p": p}, residuals, sample,
                    {"build": round(1000 * (t1 - t0), 3),
@@ -492,7 +512,7 @@ def verify_exchange_general(ctx, p, k):
     lhs = dp * lk
     rhs = lk * dp * c2 + dp * c1
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, lhs - rhs, 2)
+    residuals, sample = _reduce_matrix(ctx, (lhs - rhs).rows, 2)
     t2 = time.perf_counter()
     return _report(ctx, "exchange-general", {"N": sym.N, "p": p, "k": k},
                    residuals, sample,
@@ -532,7 +552,11 @@ def verify_shift_scan(ctx, k, alphas=None):
 def verify_classical(N):
     """Independent commutative oracle for the documented column
     convention, which alone gates; the transposed (row) determinant form
-    is recorded as a detail."""
+    is recorded as a detail.  N must lie in 1..ncalg.MAX_N, as for the
+    catalog; the oracle's cost grows factorially with N."""
+    if not 1 <= N <= MAX_N:
+        raise VerifyError("N must be an integer in 1..%d, got %r"
+                          % (MAX_N, N))
     t0 = time.perf_counter()
     staircase = [N - j for j in range(1, N + 1)]
     report = weyl.capelli_check(N)
@@ -665,18 +689,23 @@ def rigor_bound(sym, k, variant="column", rule_cap=4000, max_degree=12):
     if sym.q_config.mode != "symbolic":
         raise VerifyError("rigor bound requires the symbolic backend")
     ctx = RewriteContext(sym, rule_cap, max_degree)
-    lhs, rhs = theorem_sides(sym, k, variant)
+    u, lhs, rhs = theorem_sides(sym, k, variant)
+
+    def reduced(block):
+        # reduction is linear, so U.nf(E.side) = nf(P.side)
+        return _lift(u, [[ctx.reduce_poly(v, k) for v in row]
+                         for row in block], sym.N, k).rows
+
     bound = 0
-    for i in range(lhs.dim):
-        for j in range(lhs.dim):
-            nf_l = ctx.reduce_poly(lhs.rows[i][j], k)
-            nf_r = ctx.reduce_poly(rhs.rows[i][j], k)
-            words = set(nf_l.terms) | set(nf_r.terms)
-            for w in words:
+    for row_l, row_r in zip(reduced(lhs), reduced(rhs)):
+        for nf_l, nf_r in zip(row_l, row_r):
+            terms_l = nf_l.terms if nf_l else {}
+            terms_r = nf_r.terms if nf_r else {}
+            for w in set(terms_l) | set(terms_r):
                 ln, lx, ld_n, ld_x = _ratq_exponent_interval(
-                    nf_l.terms.get(w, 0))
+                    terms_l.get(w, 0))
                 rn, rx, rd_n, rd_x = _ratq_exponent_interval(
-                    nf_r.terms.get(w, 0))
+                    terms_r.get(w, 0))
                 lo = min(ln + rd_n, rn + ld_n)
                 hi = max(lx + rd_x, rx + ld_x)
                 bound = max(bound, hi - lo)

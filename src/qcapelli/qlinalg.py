@@ -5,9 +5,11 @@ tuple (i_1, ..., i_p) big-endian: r = sum (i_t - 1) N^(p-t).  Entries lie
 in any ring that multiplies with exact scalars on both sides: Fraction or
 RatQ scalars, or free-algebra polynomials (ncalg.NCPoly), mixed freely.
 The ints 0/1 are backend-neutral constants, 0 is every ring's zero and
-zero tests use truthiness.  Products keep the order of their factors.
-Inversion, rank, the skew inverse and the rank-one factorization need
-scalar entries.
+zero tests use truthiness.  Products keep the order of their factors;
+rows_times also multiplies a block of rows that is not square.
+The one exact elimination, echelon, needs scalar entries; the inverse,
+the rank and the rank factorization P = U.E of a projector
+(rank_factor) are read off it.
 
 The q-antisymmetrizer and q-symmetrizer towers grow one level at a time
 by tower_step; their holder (rcatalog.HeckeSymmetry) keeps the levels.
@@ -86,22 +88,8 @@ class QMatrix:
     def __mul__(self, other):
         if isinstance(other, QMatrix):
             self._compat(other)
-            dim = self.dim
-            out = [[0] * dim for _ in range(dim)]
-            orows = other.rows
-            for i in range(dim):
-                arow = self.rows[i]
-                orow = out[i]
-                for s in range(dim):
-                    a = arow[s]
-                    if not a:
-                        continue
-                    brow = orows[s]
-                    for j in range(dim):
-                        b = brow[j]
-                        if b:
-                            orow[j] = orow[j] + a * b
-            return QMatrix(self.N, self.p, out)
+            return QMatrix(self.N, self.p,
+                           rows_times(self.rows, other.rows, self.dim))
         return self.scale(other)
 
     def scale(self, c):
@@ -150,6 +138,22 @@ class QMatrix:
 
     def __repr__(self):
         return "QMatrix(N=%d, p=%d)" % (self.N, self.p)
+
+
+def rows_times(rows, other, width):
+    """Rows of the product of a block of rows with the matrix whose rows
+    (each of length width) are other."""
+    out = []
+    for arow in rows:
+        orow = [0] * width
+        for a, brow in zip(arow, other):
+            if not a:
+                continue
+            for j, b in enumerate(brow):
+                if b:
+                    orow[j] = orow[j] + a * b
+        out.append(orow)
+    return out
 
 
 def embed(R, i, p):
@@ -245,61 +249,40 @@ def r_trace(X, legs, c_matrix):
 
 
 def matrix_inverse(M):
+    """M^(-1), read off the reduced row-echelon form [I | M^(-1)] of
+    [M | I]."""
     dim = M.dim
-    work = [list(r) for r in M.rows]
-    aug = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    for col in range(dim):
-        piv = None
-        for r in range(col, dim):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise QLinError("matrix is singular")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pv = scalar_inv(work[col][col])
-        work[col] = [v * pv if v else 0 for v in work[col]]
-        aug[col] = [v * pv if v else 0 for v in aug[col]]
-        for r in range(dim):
-            if r == col:
-                continue
-            f = work[r][col]
-            if not f:
-                continue
-            work[r] = [a - f * b if b else a for a, b in zip(work[r], work[col])]
-            aug[r] = [a - f * b if b else a for a, b in zip(aug[r], aug[col])]
-    return QMatrix(M.N, M.p, aug)
+    rows = echelon([list(r) + [1 if i == j else 0 for j in range(dim)]
+                    for i, r in enumerate(M.rows)])
+    if not rows[-1][dim - 1]:
+        raise QLinError("matrix is singular")
+    return QMatrix(M.N, M.p, [r[dim:] for r in rows])
 
 
-def matrix_rank(M):
-    work = [list(r) for r in M.rows if any(r)]
-    dim = M.dim
+def echelon(rows):
+    """The nonzero rows of the reduced row-echelon form of the matrix with
+    the given rows, by exact elimination: each row's first nonzero entry,
+    its pivot, is 1, and every other row is 0 in that column."""
+    work = [list(r) for r in rows if any(r)]
     rank = 0
-    col = 0
-    while col < dim and rank < len(work):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                piv = r
-                break
+    for col in range(len(work[0]) if work else 0):
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if piv is None:
-            col += 1
             continue
         work[rank], work[piv] = work[piv], work[rank]
         pv = scalar_inv(work[rank][col])
         prow = [v * pv if v else 0 for v in work[rank]]
         work[rank] = prow
         for r in range(len(work)):
-            if r == rank:
-                continue
             f = work[r][col]
-            if f:
+            if f and r != rank:
                 work[r] = [a - f * b if b else a for a, b in zip(work[r], prow)]
         rank += 1
-        col += 1
-    return rank
+    return work[:rank]
+
+
+def matrix_rank(M):
+    return len(echelon(M.rows))
 
 
 def check_braid(R):
@@ -326,12 +309,6 @@ class SkewInverseData:
 class RankReport:
     rank: int
     dims: list
-
-
-@dataclass
-class UVPair:
-    u: list
-    v: list
 
 
 def _flip_matrix(N):
@@ -411,32 +388,19 @@ def rank_of(antisym, N, cap=6):
     raise RankError("rank exceeds the probe cap %d" % (cap,))
 
 
-def uv_factorize(A, cfg):
-    """Write a rank-one idempotent as an outer product |u><v| with the
-    first nonzero component of v scaled to 1 and <v|u> = 1."""
-    if matrix_rank(A) != 1:
-        raise FactorError("operator does not have rank one")
-    dim = A.dim
-    vrow = None
-    for r in range(dim):
-        if any(A.rows[r]):
-            vrow = list(A.rows[r])
-            break
-    j0 = next(j for j in range(dim) if vrow[j])
-    piv = scalar_inv(vrow[j0])
-    v = [x * piv if x else 0 for x in vrow]
-    u = [A.rows[i][j0] for i in range(dim)]
-    pairing = 0
-    for a, b in zip(v, u):
-        if a and b:
-            pairing = pairing + a * b
-    if not pairing:
-        raise FactorError("pairing <v|u> vanishes; operator is not idempotent")
-    fix = scalar_inv(pairing)
-    u = [x * fix if x else 0 for x in u]
-    for i in range(dim):
-        for j in range(dim):
-            expect = u[i] * v[j] if (u[i] and v[j]) else 0
-            if A.rows[i][j] != expect:
-                raise FactorError("operator is not the outer product of u and v")
-    return UVPair(u=u, v=v)
+def rank_factor(P):
+    """Rank factorization P = U.E of an idempotent P of rank r: E is the
+    r rows of echelon(P.rows) and U the r columns of P at their pivots, so
+    E.U = I_r; returned as (columns of U, rows of E), both empty at
+    rank 0.  Both equations are checked (FactorError)."""
+    E = echelon(P.rows)
+    r = len(E)
+    U = [[row[j] for row in P.rows]
+         for j in (next(j for j, v in enumerate(e) if v) for e in E)]
+    urows = [[u[i] for u in U] for i in range(P.dim)]
+    if rows_times(urows, E, P.dim) != P.rows:
+        raise FactorError("P is not U.E")
+    if rows_times(E, urows, r) != [[1 if s == t else 0 for t in range(r)]
+                                   for s in range(r)]:
+        raise FactorError("E.U is not the identity; P is not idempotent")
+    return U, E

@@ -21,7 +21,6 @@ from .qlinalg import (
     QMatrix,
     check_braid,
     check_hecke,
-    matrix_inverse,
     r_trace,
     rank_of,
     skew_inverse,
@@ -46,6 +45,8 @@ class CatalogValidationError(CatalogError):
 class HeckeSymmetry:
     """A validated Hecke symmetry bundled with its derived data.
 
+    Built only once R has passed the Hecke check, whose
+    (q I - R)(q^(-1) I + R) = 0 gives R^(-1) = R - (q - q^(-1)) I.
     validate_symmetry fills in rank_report and skew."""
 
     def __init__(self, name, R, q_config, rebuilder=None):
@@ -55,7 +56,8 @@ class HeckeSymmetry:
         self.q_config = q_config
         self.skew = None
         self.rank_report = None
-        self.R_inv = matrix_inverse(R)
+        self.R_inv = R - QMatrix.identity(R.N, 2).scale(
+            q_config.qpow(1) - q_config.qpow(-1))
         self._rebuilder = rebuilder
         self._anti = [QMatrix.identity(R.N, 1)]
         self._symm = [QMatrix.identity(R.N, 1)]

@@ -16,10 +16,10 @@ normal-form memo.  It serves four rule tables:
   ideals, closed under overlap resolution up to a degree cap.
 
 reduce is the canonical form map: normal order, then reduce the position
-prefix and the derivative suffix of each word by the two systems.  A
-polynomial reduces to zero exactly when it lies in the two-sided ideal
-generated by the relations, up to the tested confluence of the combined
-system.
+prefix and the derivative suffix of each word by the two systems, once
+per prefix for the sum of its suffixes.  A polynomial reduces to zero
+exactly when it lies in the two-sided ideal generated by the relations,
+up to the tested confluence of the combined system.
 """
 
 from __future__ import annotations
@@ -411,30 +411,25 @@ def complete(ruleset, degree, rule_cap=4000):
 
 def reduce(x, sys_m, sys_d, table):
     """Canonical form: normal-order the letter kinds, then reduce each
-    segment to its ideal normal form.  Input must fit the degree caps."""
+    segment to its ideal normal form.  Words are grouped by their position
+    prefix, so each prefix's normal form multiplies the reduced sum of
+    its derivative suffixes once.  Input must fit the degree caps."""
     md, dd = _max_degrees(x)
     if md > sys_m.degree or dd > sys_d.degree:
         raise DegreeCapError(
             "degrees (%d, %d) exceed the completed caps (%d, %d)"
             % (md, dd, sys_m.degree, sys_d.degree))
-    ordered = normal_order(x, table)
+    suffixes = {}
+    for w, c in normal_order(x, table).terms.items():
+        cut = next((i for i, ch in enumerate(w) if ch >= "a"), len(w))
+        suffixes.setdefault(w[:cut], {})[w[cut:]] = c
     out = {}
-    for w, c in ordered.terms.items():
-        cut = len(w)
-        for i, ch in enumerate(w):
-            if ch >= "a":
-                cut = i
-                break
-        for wm, cm in sys_m.nf_word(w[:cut]).items():
-            base = c * cm
-            for wd, cd in sys_d.nf_word(w[cut:]).items():
-                nw = wm + wd
-                acc = out.get(nw, 0) + base * cd
-                if acc:
-                    out[nw] = acc
-                else:
-                    out.pop(nw, None)
-    return NCPoly(out)
+    for prefix, terms in suffixes.items():
+        tail = sys_d.nf_terms(terms)
+        for wm, cm in sys_m.nf_word(prefix).items():
+            for wd, cd in tail.items():
+                _add(out, wm + wd, cm * cd)
+    return NCPoly._raw(out)
 
 
 def _max_degrees(x):

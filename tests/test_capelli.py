@@ -1,4 +1,5 @@
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from qcapelli.capelli import (
     VerifyError,
     _bra_ket,
     _det_chain,
+    _lift,
     _reduce_matrix,
     _report,
     det_r,
@@ -33,7 +35,7 @@ from qcapelli.capelli import (
     verify_traced,
 )
 from qcapelli.ncalg import NCPoly
-from qcapelli.qlinalg import uv_factorize
+from qcapelli.qlinalg import rank_factor, rows_times
 from qcapelli.rcatalog import dj, flip, load
 from qcapelli.rewrite import DegreeCapError
 from qcapelli.scalar import QConfig, scalar_to_text
@@ -58,12 +60,12 @@ def verify_matr_id(ctx):
     t0 = time.perf_counter()
     chain = _det_chain(sym, "m")
     proj = sym.antisym(m)
-    pair = uv_factorize(proj, sym.q_config)
-    scalar = _bra_ket(pair.v, chain, pair.u)
+    (u,), (v,) = rank_factor(proj)
+    scalar = _bra_ket(v, chain, u)
     lhs = proj * chain
     rhs = proj.scale(scalar)
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, lhs - rhs, m)
+    residuals, sample = _reduce_matrix(ctx, (lhs - rhs).rows, m)
     t2 = time.perf_counter()
     return _report(ctx, "matr-id", {"N": sym.N, "m": m}, residuals, sample,
                    {"build": round(1000 * (t1 - t0), 3),
@@ -80,6 +82,8 @@ def ctx_for(label):
             got = RewriteContext(dj(1))
         elif label == "dj2":
             got = RewriteContext(dj(2))
+        elif label == "dj2q":
+            got = RewriteContext(dj(2, QConfig.fixed("3/5")))
         elif label == "dj3q":
             got = RewriteContext(dj(3, QConfig.fixed("3/5")))
         elif label == "flip2":
@@ -91,9 +95,9 @@ def ctx_for(label):
 
 
 def test_k1_is_tautological_before_reduction():
-    lhs, rhs = theorem_sides(dj(2), 1)
-    diff = lhs - rhs
-    assert all(not v for row in diff.rows for v in row)
+    u, lhs, rhs = theorem_sides(dj(2), 1)
+    assert len(u) == 2
+    assert all(a == b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
 
 
 def test_shift_values():
@@ -147,6 +151,63 @@ def test_wrong_shift_leaves_residual():
         assert not rep.passed()
         assert rep.residual_entries > 0
         assert rep.residual_sample
+
+
+def full_sides(sym, k, variant="column", alpha=None):
+    """Reference: both sides of the identity as dim x dim matrices,
+    P X1 (X2 + s2 I) ... (Xk + sk I) P and c P M1 ... Mk Dk ... D1, with
+    every product of two matrices of polynomials formed."""
+    cfg = sym.q_config
+    proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
+    mcop = matrix_copies(sym, "m", k)
+    dcop = matrix_copies(sym, "d", k)
+    lcop = [a * b for a, b in zip(mcop, dcop)]
+    lhs = proj * lcop[0]
+    for i in range(2, k + 1):
+        s = shift_value(cfg, i, variant)
+        if alpha is not None and i == k:
+            s = alpha
+        lhs = lhs * lcop[i - 1].shifted(s)
+    lhs = lhs * proj
+    chain = mcop[0]
+    for x in mcop[1:] + dcop[::-1]:
+        chain = chain * x
+    sign = 1 if variant == "column" else -1
+    return lhs, (proj * chain).scale(cfg.qpow(sign * k * (k - 1)))
+
+
+# dj(2) symbolic k=3 row costs about two minutes in the full reference
+STRETCH = pytest.mark.skipif(not os.environ.get("QCAPELLI_STRETCH"),
+                             reason="about two minutes; set QCAPELLI_STRETCH=1")
+BLOCK_CASES = ([("dj2", 2, v, None) for v in ("column", "row")]
+               + [("dj2", 3, "column", None),
+                  pytest.param("dj2", 3, "row", None, marks=STRETCH),
+                  ("dj2q", 3, "row", None)]
+               + [(label, 2, v, None) for label in ("dj3q", "flip2")
+                  for v in ("column", "row")]
+               + [("dj2", 2, "column", a) for a in ("0", "1", "q^2")])
+
+
+@pytest.mark.parametrize("label,k,variant,alpha", BLOCK_CASES)
+def test_row_block_matches_the_full_residual(label, k, variant, alpha):
+    ctx = ctx_for(label)
+    sym = ctx.sym
+    if alpha is not None:
+        alpha = sym.q_config.parse(alpha)
+    lhs, rhs = full_sides(sym, k, variant, alpha)
+    full = [[ctx.reduce_poly(v, k) for v in row] for row in (lhs - rhs).rows]
+    u, blhs, brhs = theorem_sides(sym, k, variant, alpha)
+    _, e = rank_factor(sym.antisym(k) if variant == "column"
+                       else sym.ssym(k))
+    block = [[ctx.reduce_poly(a - b, k) for a, b in zip(ra, rb)]
+             for ra, rb in zip(blhs, brhs)]
+    assert block == rows_times(e, full, lhs.dim)
+    assert _lift(u, block, sym.N, k).rows == full
+    full_pass = all(v.is_zero() for row in full for v in row)
+    rep = verify_matrix_identity(ctx, k, variant, alpha)
+    assert rep.passed() == full_pass == (alpha is None)
+    assert rep.details["projector_rank"] == len(e)
+    assert rep.residual_entries == sum(1 for row in block for v in row if v)
 
 
 def test_shift_scan_control():

@@ -49,6 +49,7 @@ def test_structured_record_fields():
         assert field in record
     assert record["outcome"] == "pass"
     assert record["q_points"] == ["symbolic"]
+    assert record["details"]["projector_rank"] == 1
 
 
 @pytest.mark.parametrize("ident", ["cap-as", "cap-s", "cap1", "mre",
@@ -215,6 +216,13 @@ def test_malformed_symmetry_input_is_config_error(tmp_path, command):
         code, text = run([command] + source)
         assert code == EXIT_CONFIG, (source, text)
         assert text.startswith("configuration error"), (source, text)
+
+
+@pytest.mark.parametrize("N", ["0", "-1", "6"])
+def test_classical_rejects_dimensions_outside_the_alphabet(N):
+    code, text = run(["verify", "--identity", "classical", "--N", N])
+    assert code == EXIT_CONFIG, text
+    assert text.startswith("configuration error")
 
 
 def test_bad_q_is_config_error():

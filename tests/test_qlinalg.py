@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,12 +20,13 @@ from qcapelli.qlinalg import (
     matrix_rank,
     partial_trace,
     r_trace,
+    rank_factor,
     rank_of,
     skew_inverse,
-    uv_factorize,
 )
 from qcapelli.rcatalog import dj, flip
 from qcapelli.scalar import QConfig, parse_scalar, scalar_to_text
+from test_rcatalog import conjugate
 
 
 def rand_qmatrix(rng, N, p, density=0.6):
@@ -222,29 +224,61 @@ def test_matrix_inverse_and_rank():
         assert M * matrix_inverse(M) == QMatrix.identity(2, 2)
     assert matrix_rank(QMatrix.zeros(2, 2)) == 0
     assert matrix_rank(QMatrix.identity(2, 2)) == 4
+    for singular in (QMatrix.zeros(2, 2), dj(2).antisym(2)):
+        with pytest.raises(QLinError):
+            matrix_inverse(singular)
 
 
-def test_uv_factorize_gauge_and_errors():
+def test_rank_factor_gauge_and_errors():
     sym = dj(2)
-    pair = uv_factorize(sym.antisym(2), sym.q_config)
-    nz = [x for x in pair.v if x]
+    (u,), (v,) = rank_factor(sym.antisym(2))
+    nz = [x for x in v if x]
     assert nz[0] == 1
-    pairing = sum((a * b for a, b in zip(pair.v, pair.u)), sym.q_config.zero())
+    pairing = sum((a * b for a, b in zip(v, u)), sym.q_config.zero())
     assert pairing == 1
     A = sym.antisym(2)
     for i in range(4):
         for j in range(4):
-            expect = pair.u[i] * pair.v[j] if (pair.u[i] and pair.v[j]) else 0
+            expect = u[i] * v[j] if (u[i] and v[j]) else 0
             assert A.rows[i][j] == expect
+    # rank two but not idempotent: E.U = 2 I
     with pytest.raises(FactorError):
-        uv_factorize(QMatrix.identity(2, 1), sym.q_config)
+        rank_factor(QMatrix.identity(2, 1).scale(Fraction(2)))
 
 
-def test_uv_pair_matches_hand_value():
+def test_rank_one_factor_matches_hand_value():
     sym = dj(2)
     cfg = sym.q_config
-    pair = uv_factorize(sym.antisym(2), cfg)
+    (u,), (v,) = rank_factor(sym.antisym(2))
     q = cfg.qpow(1)
-    assert pair.v == [0, cfg.one(), -q, 0]
+    assert v == [0, cfg.one(), -q, 0]
     inv2 = 1 / cfg.qnum(2)
-    assert pair.u == [0, cfg.qpow(-1) * inv2, -inv2, 0]
+    assert u == [0, cfg.qpow(-1) * inv2, -inv2, 0]
+
+
+def _prod(a, b, width):
+    """Rows of the product of two blocks of scalar rows."""
+    return [[sum((x * row[j] for x, row in zip(arow, b) if x and row[j]), 0)
+             for j in range(width)] for arow in a]
+
+
+@pytest.mark.parametrize("label", ["dj2", "dj3q", "flip2", "conj2"])
+def test_rank_factor_of_every_projector(label):
+    sym = {"dj2": lambda: dj(2),
+           "dj3q": lambda: dj(3, QConfig.fixed(Fraction(3, 5))),
+           "flip2": lambda: flip(2),
+           "conj2": lambda: conjugate(2, [[2, 1], [1, 1]])}[label]()
+    N = sym.N
+    cases = [(sym.antisym(k), sym.rank_report.dims[k - 1])
+             for k in range(1, sym.rank + 2)]
+    cases += [(sym.ssym(k), comb(N + k - 1, k)) for k in (2, 3)]
+    assert cases[sym.rank][1] == 0  # A^(m+1) = 0 has rank 0
+    for P, rank in cases:
+        u, e = rank_factor(P)
+        assert len(u) == len(e) == rank == matrix_rank(P)
+        urows = [[col[i] for col in u] for i in range(P.dim)]
+        assert _prod(urows, e, P.dim) == P.rows
+        assert _prod(e, urows, rank) == [[1 if s == t else 0
+                                          for t in range(rank)]
+                                         for s in range(rank)]
+        assert _prod(e, P.rows, P.dim) == e

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import random
 from fractions import Fraction
 
@@ -227,7 +226,6 @@ UNIPOTENT_3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
 
 
 def test_unipotent_conjugate_of_dj3_completes():
-    # the identity itself takes about a minute here; see the stretch test
     sym = conjugate(3, UNIPOTENT_3)
     for kind, braiding, derive in (("m", sym.R, derive_re_rules),
                                    ("d", sym.R_inv, derive_dd_rules)):
@@ -238,8 +236,6 @@ def test_unipotent_conjugate_of_dj3_completes():
             assert not system.nf_terms(p.terms)
 
 
-@pytest.mark.skipif(not os.environ.get("QCAPELLI_STRETCH"),
-                    reason="about a minute; set QCAPELLI_STRETCH=1")
 def test_unipotent_conjugate_of_dj3_factorization():
     assert_factorization_holds(conjugate(3, UNIPOTENT_3))
 

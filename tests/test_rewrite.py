@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcapelli.capelli import RewriteContext, _lift, theorem_sides
 from qcapelli.ncalg import NCError, NCPoly, copy_up, d_char, gen_matrix, m_char
 from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse
 from qcapelli.rcatalog import dj, flip
@@ -11,6 +12,7 @@ from qcapelli.rewrite import (
     BadSpecializationError,
     CapacityError,
     DegreeCapError,
+    _add,
     _max_degrees,
     complete,
     derive_dd_rules,
@@ -277,6 +279,36 @@ def test_reduce_respects_products():
         staged = reduce(reduce(a, cm, cd, table) * reduce(b, cm, cd, table),
                         cm, cd, table)
         assert direct == staged
+
+
+def reduce_per_term(x, sys_m, sys_d, table):
+    """Reference: reduce the position prefix and the derivative suffix of
+    every normal-ordered word on its own."""
+    out = {}
+    for w, c in normal_order(x, table).terms.items():
+        cut = next((i for i, ch in enumerate(w) if ch >= "a"), len(w))
+        for wm, cm in sys_m.nf_word(w[:cut]).items():
+            for wd, cd in sys_d.nf_word(w[cut:]).items():
+                _add(out, wm + wd, c * cm * cd)
+    return NCPoly(out)
+
+
+@pytest.mark.parametrize("N,q,count", [(2, None, 74), (3, "3/5", 405)])
+def test_grouped_reduce_matches_the_per_term_reference(N, q, count):
+    sym = dj(N) if q is None else dj(N, QConfig.fixed(q))
+    ctx = RewriteContext(sym)
+    sys_m, sys_d = ctx.system("m", 2), ctx.system("d", 2)
+    entries = 0
+    for variant in ("column", "row"):
+        u, lhs, rhs = theorem_sides(sym, 2, variant)
+        for block in (lhs, rhs):
+            for row in block + _lift(u, block, sym.N, 2).rows:
+                for v in row:
+                    if v:
+                        entries += 1
+                        assert reduce(v, sys_m, sys_d, ctx.table).terms == \
+                            reduce_per_term(v, sys_m, sys_d, ctx.table).terms
+    assert entries == count
 
 
 def test_max_degrees():

@@ -6,6 +6,11 @@ printed, and the difference is reduced entrywise to canonical form.  A
 verification passes when every residual is identically zero.  Negative
 controls (wrong shifts, dropped diagonals) must come out nonzero, so a
 pass is evidence about the algebra and not about the reducer.
+
+Every projector identity is assembled on the projector's row block (see
+theorem_sides): the factorization, its traced forms, cap1 and both
+determinant forms take rows _through one matrix at a time and never
+multiply two matrices of polynomials.
 """
 
 from __future__ import annotations
@@ -191,10 +196,9 @@ def theorem_sides(sym, k, variant="column", alpha=None):
     with c = q^(k(k-1)) (column) or q^(-k(k-1)) (row).  For the rank
     factorization P = U E (qlinalg.rank_factor) this returns U and the
     row blocks E.LHS and E.RHS: P.side = U.(E.side) and E = E P, so
-    P W = 0 exactly when E W = 0.  Each block is multiplied from the left
-    by one generator copy at a time, row.(MD + s) = (row.M).D + s row,
-    so no two matrices of polynomials are multiplied.  alpha, when
-    given, replaces the final shift.
+    P W = 0 exactly when E W = 0.  Each block goes _through one generator
+    copy at a time, row.(MD + s) = (row.M).D + s row.  alpha, when given,
+    replaces the final shift.
     """
     if k < 1:
         raise VerifyError("k must be positive")
@@ -203,26 +207,28 @@ def theorem_sides(sym, k, variant="column", alpha=None):
     u, e = rank_factor(proj)
     mcop = matrix_copies(sym, "m", k)
     dcop = matrix_copies(sym, "d", k)
-
-    def times(block, x):
-        return rows_times(block, x.rows, x.dim)
-
-    lhs = times(times(e, mcop[0]), dcop[0])
+    lhs = _through(e, mcop[:1] + dcop[:1])
     for i in range(2, k + 1):
         s = shift_value(cfg, i, variant)
         if alpha is not None and i == k:
             s = alpha
-        moved = times(times(lhs, mcop[i - 1]), dcop[i - 1])
+        moved = _through(lhs, [mcop[i - 1], dcop[i - 1]])
         lhs = [[a + s * b if b else a for a, b in zip(ra, rb)]
                for ra, rb in zip(moved, lhs)]
-    lhs = times(lhs, proj)
+    lhs = _through(lhs, [proj])
 
     sign = 1 if variant == "column" else -1
     c = cfg.qpow(sign * k * (k - 1))
     rhs = [[c * v if v else 0 for v in row] for row in e]
-    for x in mcop + dcop[::-1]:
-        rhs = times(rhs, x)
-    return u, lhs, rhs
+    return u, lhs, _through(rhs, mcop + dcop[::-1])
+
+
+def _through(block, mats):
+    """block.X1...Xn for a block of rows, multiplied from the left one
+    matrix at a time, so no two matrices of polynomials are multiplied."""
+    for x in mats:
+        block = rows_times(block, x.rows, x.dim)
+    return block
 
 
 def _block_diff(lhs, rhs):
@@ -277,41 +283,37 @@ def verify_traced(ctx, k, variant="column"):
                     "reduction": round(1000 * (t2 - t1), 3)})
 
 
-def _bra_ket(v, X, u):
-    acc = NCPoly.zero()
-    for i, vi in enumerate(v):
-        if not vi:
-            continue
-        row = X.rows[i]
-        for j, uj in enumerate(u):
-            if uj and row[j]:
-                acc = acc + (vi * uj) * row[j]
-    return acc
-
-
-def _det_chain(sym, kind):
-    m = sym.rank
-    copies = matrix_copies(sym, kind, m)
+def _det_row(sym, kind, v):
+    """The row block [v.M1...Mm] (kind "m") or [v.Dm...D1] (kind "d") at
+    the top rank m."""
+    copies = matrix_copies(sym, kind, sym.rank)
     if kind == "d":
-        copies = list(reversed(copies))
-    chain = copies[0]
-    for x in copies[1:]:
-        chain = chain * x
-    return chain
+        copies.reverse()
+    return _through([v], copies)
+
+
+def _ket(row, u):
+    """row.u for a one-row block and a column of scalars."""
+    return rows_times(row, [[x] for x in u], 1)[0][0]
+
+
+def _det_forms(sym, kind):
+    """Both forms of a quantum determinant, read off the one row
+    v.M1...Mm (or v.Dm...D1) for A^(m) = u v: the weighted trace
+    Tr_R(u (x) row) q^(m^2) and the bra-ket row.u."""
+    m = sym.rank
+    (u,), (v,) = rank_factor(sym.antisym(m))
+    row = _det_row(sym, kind, v)
+    traced = (sym.r_trace(_lift([u], row, sym.N, m), range(1, m + 1))
+              * sym.q_config.qpow(m * m))
+    return traced, _ket(row, u)
 
 
 def _det_poly(ctx, kind):
     """Quantum determinant via the weighted-trace form, cross-checked
     against the bra-ket form; the two must agree modulo the ideal."""
-    sym = ctx.sym
-    m = sym.rank
-    chain = _det_chain(sym, kind)
-    proj = sym.antisym(m)
-    traced = (sym.r_trace(proj * chain, range(1, m + 1))
-              * sym.q_config.qpow(m * m))
-    (u,), (v,) = rank_factor(proj)
-    usual = _bra_ket(v, chain, u)
-    gap = ctx.reduce_poly(traced - usual, m)
+    traced, usual = _det_forms(ctx.sym, kind)
+    gap = ctx.reduce_poly(traced - usual, ctx.sym.rank)
     if not gap.is_zero():
         raise VerifyError(
             "determinant forms disagree for the %s side: %d residual words"
@@ -346,21 +348,27 @@ def verify_determinants(ctx):
     (u,), (v,) = rank_factor(sym.antisym(m))
     lam = sym.q_config.from_fraction(Fraction(5, 3))
     inv_lam = sym.q_config.one() / lam
-    chain_m = _det_chain(sym, "m")
-    chain_d = _det_chain(sym, "d")
     scaled_u = [x * lam if x else 0 for x in u]
     scaled_v = [x * inv_lam if x else 0 for x in v]
-    if _bra_ket(scaled_v, chain_m, scaled_u) != _bra_ket(v, chain_m, u):
-        residuals += 1
-        sample.append({"entry": ["gauge-m"], "terms": []})
-    if _bra_ket(scaled_v, chain_d, scaled_u) != _bra_ket(v, chain_d, u):
-        residuals += 1
-        sample.append({"entry": ["gauge-d"], "terms": []})
+    for kind in ("m", "d"):
+        if (_ket(_det_row(sym, kind, scaled_v), scaled_u)
+                != _ket(_det_row(sym, kind, v), u)):
+            residuals += 1
+            sample.append({"entry": ["gauge-" + kind], "terms": []})
     details["det_m_words"] = len(dm.terms)
     details["det_d_words"] = len(dd.terms)
     return _report(ctx, "det-forms", {"N": sym.N, "m": m}, residuals, sample,
                    {"build": round(1000 * (time.perf_counter() - t0), 3)},
                    details)
+
+
+def _cap1_lhs(sym):
+    """Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) at the top rank m, as
+    Tr_R(U.(E.LHS)) from theorem_sides: the trailing A^(m) of LHS is
+    absorbed by the R-trace, since C^(x)m commutes with A^(m)."""
+    m = sym.rank
+    u, lhs, _ = theorem_sides(sym, m, "column")
+    return sym.r_trace(_lift(u, lhs, sym.N, m), range(1, m + 1))
 
 
 def verify_cap1(ctx):
@@ -370,20 +378,14 @@ def verify_cap1(ctx):
     m = sym.rank
     cfg = sym.q_config
     t0 = time.perf_counter()
-    mcop = matrix_copies(sym, "m", m)
-    dcop = matrix_copies(sym, "d", m)
-    lcop = [a * b for a, b in zip(mcop, dcop)]
-    lhs_mat = sym.antisym(m) * lcop[0]
-    for i in range(2, m + 1):
-        lhs_mat = lhs_mat * lcop[i - 1].shifted(
-            shift_value(cfg, i, "column"))
-    lhs = sym.r_trace(lhs_mat, range(1, m + 1))
+    lhs = _cap1_lhs(sym)
     dm = det_r(ctx)
     dd = det_rinv(ctx)
-    rhs = (dm * dd) * cfg.qpow(-m)
     t1 = time.perf_counter()
-    res = ctx.reduce_poly(lhs - rhs, m)
-    reversed_res = ctx.reduce_poly(lhs - (dd * dm) * cfg.qpow(-m), m)
+    # reduction is linear, so the large traced side is reduced once
+    lhs = ctx.reduce_poly(lhs, m)
+    res = lhs - ctx.reduce_poly((dm * dd) * cfg.qpow(-m), m)
+    reversed_res = lhs - ctx.reduce_poly((dd * dm) * cfg.qpow(-m), m)
     t2 = time.perf_counter()
     residuals = 0 if res.is_zero() else 1
     sample = [] if res.is_zero() else [_sample(("trace",), res)]
@@ -613,14 +615,7 @@ def verify_classical_consistency(ctx):
     t0 = time.perf_counter()
     m = sym.rank
     cfg = sym.q_config
-    mcop = matrix_copies(sym, "m", m)
-    dcop = matrix_copies(sym, "d", m)
-    lcop = [a * b for a, b in zip(mcop, dcop)]
-    lhs_mat = sym.antisym(m) * lcop[0]
-    for i in range(2, m + 1):
-        lhs_mat = lhs_mat * lcop[i - 1].shifted(
-            shift_value(cfg, i, "column"))
-    lhs = ctx.reduce_poly(sym.r_trace(lhs_mat, range(1, m + 1)), m)
+    lhs = ctx.reduce_poly(_cap1_lhs(sym), m)
     rhs = ctx.reduce_poly((det_r(ctx) * det_rinv(ctx)) * cfg.qpow(-m), m)
 
     staircase = [N - j for j in range(1, N + 1)]
@@ -712,18 +707,7 @@ def rigor_bound(sym, k, variant="column", rule_cap=4000, max_degree=12):
     return bound
 
 
-_POINT_JOB = {}
-
-
-def _point_worker(args):
-    pt, k, variant, rule_cap, max_degree = args
-    sym = _POINT_JOB["builder"](pt)
-    rep = verify_matrix_identity(RewriteContext(sym, rule_cap, max_degree),
-                                 k, variant)
-    return (str(pt), rep.passed())
-
-
-def verify_rigor(sym_builder, k, variant="column", extra_points=0, jobs=1,
+def verify_rigor(sym_builder, k, variant="column", extra_points=0,
                  rule_cap=4000, max_degree=12):
     """Point-evaluation proof of the factorization identity.
 
@@ -731,32 +715,18 @@ def verify_rigor(sym_builder, k, variant="column", extra_points=0, jobs=1,
     q.  The residual's coefficient span is bounded symbolically, then the
     identity is checked at bound+1 distinct positive rational points; a
     Laurent polynomial with that span vanishing at that many nonzero
-    points is identically zero.  jobs > 1 fans the points out over forked
-    workers; results are merged in point order either way.  rule_cap and
-    max_degree bound every rewrite context, as in RewriteContext.
+    points is identically zero.  The points are checked in order, in this
+    process.  rule_cap and max_degree bound every rewrite context, as in
+    RewriteContext.
     """
     t0 = time.perf_counter()
     symbolic = sym_builder(None)
     bound = rigor_bound(symbolic, k, variant, rule_cap, max_degree)
     points = _height_points(bound + 1 + extra_points)
     t1 = time.perf_counter()
-    work = [(pt, k, variant, rule_cap, max_degree) for pt in points]
-    if jobs > 1:
-        import multiprocessing
-
-        _POINT_JOB["builder"] = sym_builder
-        try:
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                outcomes = pool.map(_point_worker, work)
-        finally:
-            _POINT_JOB.clear()
-    else:
-        _POINT_JOB["builder"] = sym_builder
-        try:
-            outcomes = [_point_worker(w) for w in work]
-        finally:
-            _POINT_JOB.clear()
-    failures = [pt for pt, good in outcomes if not good]
+    failures = [str(pt) for pt in points if not verify_matrix_identity(
+        RewriteContext(sym_builder(pt), rule_cap, max_degree), k,
+        variant).passed()]
     t2 = time.perf_counter()
     residuals = len(failures)
     return VerificationReport(

@@ -82,8 +82,6 @@ def _build_parser():
                      help="override the final diagonal shift (scalar text)")
     ver.add_argument("--rigor", action="store_true",
                      help="prove by evaluation at degree-bound+1 points")
-    ver.add_argument("--jobs", type=int, default=None,
-                     help="parallel workers for multi-point runs")
     ver.add_argument("--format", default="text",
                      choices=("text", "structured"))
 
@@ -151,10 +149,6 @@ def _emit(reports, fmt, out):
 
 
 def _run_verify(args, out):
-    jobs = args.jobs if args.jobs is not None else _env_int(
-        "QCAPELLI_JOBS", 1)
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     ident = args.identity
 
     if ident == "classical":
@@ -177,7 +171,7 @@ def _run_verify(args, out):
                 return rcatalog.dj(n)
             return rcatalog.dj(n, QConfig.fixed(pt))
 
-        rep = verify_rigor(builder, args.k, variant, jobs=jobs, **caps)
+        rep = verify_rigor(builder, args.k, variant, **caps)
         return _emit([rep], args.format, out)
 
     sym = _symmetry_for(args)

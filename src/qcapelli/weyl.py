@@ -70,10 +70,6 @@ class WeylElement:
     def is_zero(self):
         return not self.terms
 
-    def constant_part(self):
-        blank = (0,) * (self.N * self.N)
-        return self.terms.get((blank, blank), Fraction(0))
-
     def __eq__(self, other):
         if isinstance(other, WeylElement):
             return self.N == other.N and self.terms == other.terms
@@ -139,9 +135,6 @@ class WeylElement:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def total_degree(self):
-        return max((sum(v) + sum(u) for (v, u) in self.terms), default=0)
 
     def __repr__(self):
         return "WeylElement(N=%d, %d terms)" % (self.N, len(self.terms))

@@ -9,8 +9,10 @@ from qcapelli import weyl
 from qcapelli.capelli import (
     RewriteContext,
     VerifyError,
-    _bra_ket,
-    _det_chain,
+    _cap1_lhs,
+    _det_forms,
+    _det_row,
+    _ket,
     _lift,
     _reduce_matrix,
     _report,
@@ -35,10 +37,36 @@ from qcapelli.capelli import (
     verify_traced,
 )
 from qcapelli.ncalg import NCPoly
-from qcapelli.qlinalg import rank_factor, rows_times
+from qcapelli.qlinalg import QMatrix, rank_factor, rows_times
 from qcapelli.rcatalog import dj, flip, load
 from qcapelli.rewrite import DegreeCapError
 from qcapelli.scalar import QConfig, scalar_to_text
+from test_rcatalog import conjugate
+
+
+def _bra_ket(v, X, u):
+    """Reference: v.X.u for a dim x dim matrix X."""
+    acc = NCPoly.zero()
+    for i, vi in enumerate(v):
+        if not vi:
+            continue
+        row = X.rows[i]
+        for j, uj in enumerate(u):
+            if uj and row[j]:
+                acc = acc + (vi * uj) * row[j]
+    return acc
+
+
+def _det_chain(sym, kind):
+    """Reference: M1 ... Mm or Dm ... D1 as a dim x dim matrix."""
+    m = sym.rank
+    copies = matrix_copies(sym, kind, m)
+    if kind == "d":
+        copies = list(reversed(copies))
+    chain = copies[0]
+    for x in copies[1:]:
+        chain = chain * x
+    return chain
 
 
 def e_k(sym, k):
@@ -88,6 +116,8 @@ def ctx_for(label):
             got = RewriteContext(dj(3, QConfig.fixed("3/5")))
         elif label == "flip2":
             got = RewriteContext(flip(2))
+        elif label == "conj2":
+            got = RewriteContext(conjugate(2, [[2, 1], [1, 1]]))
         else:
             raise KeyError(label)
         _CTX[label] = got
@@ -153,6 +183,22 @@ def test_wrong_shift_leaves_residual():
         assert rep.residual_sample
 
 
+def full_chain(sym, k, variant="column", alpha=None):
+    """Reference: P X1 (X2 + s2 I) ... (Xk + sk I) as a dim x dim matrix,
+    with X_i = M_i D_i and every product of two matrices formed."""
+    cfg = sym.q_config
+    proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
+    mcop = matrix_copies(sym, "m", k)
+    dcop = matrix_copies(sym, "d", k)
+    lhs = proj * mcop[0] * dcop[0]
+    for i in range(2, k + 1):
+        s = shift_value(cfg, i, variant)
+        if alpha is not None and i == k:
+            s = alpha
+        lhs = lhs * (mcop[i - 1] * dcop[i - 1]).shifted(s)
+    return lhs
+
+
 def full_sides(sym, k, variant="column", alpha=None):
     """Reference: both sides of the identity as dim x dim matrices,
     P X1 (X2 + s2 I) ... (Xk + sk I) P and c P M1 ... Mk Dk ... D1, with
@@ -161,14 +207,7 @@ def full_sides(sym, k, variant="column", alpha=None):
     proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
     mcop = matrix_copies(sym, "m", k)
     dcop = matrix_copies(sym, "d", k)
-    lcop = [a * b for a, b in zip(mcop, dcop)]
-    lhs = proj * lcop[0]
-    for i in range(2, k + 1):
-        s = shift_value(cfg, i, variant)
-        if alpha is not None and i == k:
-            s = alpha
-        lhs = lhs * lcop[i - 1].shifted(s)
-    lhs = lhs * proj
+    lhs = full_chain(sym, k, variant, alpha) * proj
     chain = mcop[0]
     for x in mcop[1:] + dcop[::-1]:
         chain = chain * x
@@ -208,6 +247,54 @@ def test_row_block_matches_the_full_residual(label, k, variant, alpha):
     assert rep.passed() == full_pass == (alpha is None)
     assert rep.details["projector_rank"] == len(e)
     assert rep.residual_entries == sum(1 for row in block for v in row if v)
+
+
+@pytest.mark.parametrize("label", ["dj2", "dj2q", "dj3q", "flip2", "conj2"])
+def test_row_block_scalars_match_the_full_products(label):
+    sym = ctx_for(label).sym
+    cfg = sym.q_config
+    m = sym.rank
+    # Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) with dim x dim products
+    assert _cap1_lhs(sym) == sym.r_trace(full_chain(sym, m), range(1, m + 1))
+    proj = sym.antisym(m)
+    (u,), (v,) = rank_factor(proj)
+    lam = cfg.from_fraction(Fraction(5, 3))
+    scaled_u = [x * lam if x else 0 for x in u]
+    scaled_v = [x / lam if x else 0 for x in v]
+    for kind in ("m", "d"):
+        chain = _det_chain(sym, kind)
+        traced = sym.r_trace(proj * chain, range(1, m + 1)) * cfg.qpow(m * m)
+        assert _det_forms(sym, kind) == (traced, _bra_ket(v, chain, u))
+        assert (_ket(_det_row(sym, kind, scaled_v), scaled_u)
+                == _bra_ket(scaled_v, chain, scaled_u))
+
+
+def _holds_poly(x):
+    return any(isinstance(v, NCPoly) for row in x.rows for v in row)
+
+
+def test_no_projector_identity_multiplies_two_polynomial_matrices(
+        monkeypatch):
+    contexts = {label: ctx_for(label) for label in ("dj2q", "flip2")}
+    for ctx in contexts.values():
+        # rule derivation multiplies generator matrices; build it first
+        ctx.table
+        ctx.system("m", 2)
+        ctx.system("d", 2)
+    mul = QMatrix.__mul__
+
+    def guarded(a, b):
+        if isinstance(b, QMatrix) and _holds_poly(a) and _holds_poly(b):
+            raise AssertionError("two matrices of polynomials multiplied")
+        return mul(a, b)
+
+    monkeypatch.setattr(QMatrix, "__mul__", guarded)
+    ctx = contexts["dj2q"]
+    reports = [verify_traced(ctx, 2), verify_cap1(ctx),
+               verify_determinants(ctx),
+               verify_classical_consistency(contexts["flip2"])]
+    reports += [verify_matrix_identity(ctx, 2, v) for v in ("column", "row")]
+    assert all(rep.passed() for rep in reports)
 
 
 def test_shift_scan_control():

@@ -248,16 +248,11 @@ def test_rigor_constraints():
 
 def test_rigor_parallel_points():
     code, text = run(["verify", "--identity", "th", "--k", "2",
-                      "--rigor", "--jobs", "2", "--format", "structured"])
+                      "--rigor", "--format", "structured"])
     assert code == EXIT_PASS
     record = json.loads(text.strip())
     assert record["details"]["points_checked"] >= 2
     assert len(record["q_points"]) == record["details"]["points_checked"]
-
-
-def test_jobs_must_be_positive():
-    code, text = run(["verify", "--identity", "th", "--jobs", "0"])
-    assert code == EXIT_CONFIG
 
 
 def test_bad_flag_is_config_error():

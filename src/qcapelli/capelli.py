@@ -7,10 +7,12 @@ verification passes when every residual is identically zero.  Negative
 controls (wrong shifts, dropped diagonals) must come out nonzero, so a
 pass is evidence about the algebra and not about the reducer.
 
-Every projector identity is assembled on the projector's row block (see
+Every projector identity is assembled on the row block of its projector
+P = U E, one row of E at a time (see ProjectorIdentity and
 theorem_sides): the factorization, its traced forms, cap1 and both
-determinant forms take rows _through one matrix at a time and never
-multiply two matrices of polynomials.
+determinant forms take rows _through one matrix at a time, keep every
+entry in canonical form after each factor, and never multiply two
+matrices of polynomials.  R-traces are contracted on the rows of E.
 """
 
 from __future__ import annotations
@@ -187,52 +189,96 @@ def shift_value(cfg, i, variant):
     raise VerifyError("unknown variant %r" % (variant,))
 
 
-def theorem_sides(sym, k, variant="column", alpha=None):
-    """Both sides of the factorization identity on the row space of its
-    projector, unreduced.
+class ProjectorIdentity:
+    """The factorization identity at chain length k, set up once.
 
     The identity is LHS = RHS with LHS = P X1 (X2 + s2 I) ... (Xk + sk I) P,
     X = MD and P the rank-k projector, and RHS = c P M1 ... Mk Dk ... D1
-    with c = q^(k(k-1)) (column) or q^(-k(k-1)) (row).  For the rank
-    factorization P = U E (qlinalg.rank_factor) this returns U and the
-    row blocks E.LHS and E.RHS: P.side = U.(E.side) and E = E P, so
-    P W = 0 exactly when E W = 0.  Each block goes _through one generator
-    copy at a time, row.(MD + s) = (row.M).D + s row.  alpha, when given,
-    replaces the final shift.
+    with c = q^(k(k-1)) (column) or q^(-k(k-1)) (row).  This holds the
+    rank factorization P = U E (qlinalg.rank_factor), with u the columns
+    of U and e the rows of E, the generator copies and the shifts; alpha,
+    when given, replaces the final shift.  P.side = U.(E.side) and E = E P,
+    so P W = 0 exactly when E W = 0, and the rows of E are independent:
+    lhs and rhs push any rows of E through one side.
     """
-    if k < 1:
-        raise VerifyError("k must be positive")
-    cfg = sym.q_config
-    proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
-    u, e = rank_factor(proj)
-    mcop = matrix_copies(sym, "m", k)
-    dcop = matrix_copies(sym, "d", k)
-    lhs = _through(e, mcop[:1] + dcop[:1])
-    for i in range(2, k + 1):
-        s = shift_value(cfg, i, variant)
-        if alpha is not None and i == k:
-            s = alpha
-        moved = _through(lhs, [mcop[i - 1], dcop[i - 1]])
-        lhs = [[a + s * b if b else a for a, b in zip(ra, rb)]
-               for ra, rb in zip(moved, lhs)]
-    lhs = _through(lhs, [proj])
 
-    sign = 1 if variant == "column" else -1
-    c = cfg.qpow(sign * k * (k - 1))
-    rhs = [[c * v if v else 0 for v in row] for row in e]
-    return u, lhs, _through(rhs, mcop + dcop[::-1])
+    __slots__ = ("k", "proj", "u", "e", "mcop", "dcop", "shifts", "c")
+
+    def __init__(self, sym, k, variant="column", alpha=None):
+        if k < 1:
+            raise VerifyError("k must be positive")
+        cfg = sym.q_config
+        self.k = k
+        self.shifts = [shift_value(cfg, i, variant) for i in range(2, k + 1)]
+        if alpha is not None and k > 1:
+            self.shifts[-1] = alpha
+        self.proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
+        self.u, self.e = rank_factor(self.proj)
+        self.mcop = matrix_copies(sym, "m", k)
+        self.dcop = matrix_copies(sym, "d", k)
+        sign = 1 if variant == "column" else -1
+        self.c = cfg.qpow(sign * k * (k - 1))
+
+    def lhs(self, ctx, rows):
+        """rows.LHS in canonical form, row.(MD + s) = (row.M).D + s row."""
+        block = _through(ctx, rows, [self.mcop[0], self.dcop[0]], self.k)
+        for m, d, s in zip(self.mcop[1:], self.dcop[1:], self.shifts):
+            moved = _through(ctx, block, [m, d], self.k)
+            block = [[a + s * b if b else a for a, b in zip(ra, rb)]
+                     for ra, rb in zip(moved, block)]
+        # a scalar combination of canonical forms is canonical
+        return rows_times(block, self.proj.rows, self.proj.dim)
+
+    def rhs(self, ctx, rows):
+        """rows.RHS in canonical form."""
+        block = [[self.c * v if v else 0 for v in row] for row in rows]
+        return _through(ctx, block, self.mcop + self.dcop[::-1], self.k)
 
 
-def _through(block, mats):
-    """block.X1...Xn for a block of rows, multiplied from the left one
-    matrix at a time, so no two matrices of polynomials are multiplied."""
+def theorem_sides(ctx, ident, rows):
+    """Both sides of the factorization identity (a ProjectorIdentity) for
+    the given rows of E, each kept in canonical form after every factor.
+
+    Soundness: every rewrite subtracts an element of the two-sided ideal
+    I, so nf(a) - a lies in I, and so does nf(a) X - a X for any matrix
+    X of ring elements.  Each side therefore differs from the printed
+    product by an element of I, and a zero residual of their difference
+    proves that E.(LHS - RHS) lies in I, with no confluence assumption.
+    No unreduced product is ever more than one factor deep.
+    """
+    return ident.lhs(ctx, rows), ident.rhs(ctx, rows)
+
+
+def _through(ctx, block, mats, degree):
+    """block.X1...Xn for a block of rows in canonical form, multiplied
+    from the left one matrix at a time and brought back to canonical form
+    after each factor: the one product path of every projector identity,
+    so no two matrices of polynomials are multiplied."""
     for x in mats:
-        block = rows_times(block, x.rows, x.dim)
+        block = [[ctx.reduce_poly(v, degree) if v else 0 for v in row]
+                 for row in rows_times(block, x.rows, x.dim)]
     return block
 
 
-def _block_diff(lhs, rhs):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+def _ket(row, col):
+    """row.col for a row of ring elements and a column of scalars."""
+    acc = 0
+    for a, b in zip(row, col):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def _trace_columns(sym, u, k):
+    """The columns of W.U for the trace weight W = C^(x)k on all k legs.
+    The R-trace of a projector side is Tr_R(U.B) = sum_i B_i.(W.U)_i over
+    the rows B_i of its row block B, so no dim x dim matrix of
+    polynomials is formed."""
+    w = [[1]]
+    for _ in range(k):
+        w = [[a * c if a and c else 0 for a in wrow for c in crow]
+             for wrow in w for crow in sym.c_matrix.rows]
+    return [[_ket(wrow, col) for wrow in w] for col in u]
 
 
 def _lift(u, block, N, k):
@@ -244,33 +290,44 @@ def _lift(u, block, N, k):
 def verify_matrix_identity(ctx, k, variant="column", alpha=None,
                            identity=None):
     """Entrywise reduction of E.(LHS - RHS), the r x dim row block of the
-    factorization identity; details["projector_rank"] is r."""
+    factorization identity, one row of E at a time: each row goes through
+    both sides, and its difference is reduced and dropped before the next
+    row.  details["projector_rank"] is r."""
     sym = ctx.sym
     t0 = time.perf_counter()
-    u, lhs, rhs = theorem_sides(sym, k, variant, alpha)
-    t1 = time.perf_counter()
-    diff = _block_diff(lhs, rhs)
-    del lhs, rhs  # free the two sides before the reduction memos grow
-    residuals, sample = _reduce_matrix(ctx, diff, k)
-    t2 = time.perf_counter()
+    ident = ProjectorIdentity(sym, k, variant, alpha)
+    build = time.perf_counter() - t0
+
+    def diff_rows():
+        nonlocal build
+        for row in ident.e:
+            t = time.perf_counter()
+            (lhs,), (rhs,) = theorem_sides(ctx, ident, [row])
+            build += time.perf_counter() - t
+            yield [a - b for a, b in zip(lhs, rhs)]
+
+    residuals, sample = _reduce_matrix(ctx, diff_rows(), k)
+    total = time.perf_counter() - t0
     name = identity or ("th" if variant == "column" else "th-s")
     params = {"N": sym.N, "k": k, "variant": variant}
     if alpha is not None:
         params["alpha"] = scalar_to_text(alpha)
     return _report(ctx, name, params, residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)},
-                   {"projector_rank": len(u)})
+                   {"build": round(1000 * build, 3),
+                    "reduction": round(1000 * (total - build), 3)},
+                   {"projector_rank": len(ident.u)})
 
 
 def verify_traced(ctx, k, variant="column"):
-    """R-trace over all k legs of P.(LHS - RHS), then one scalar
-    reduction."""
+    """R-trace over all k legs of P.(LHS - RHS), contracted on the rows of
+    E one at a time, then one scalar reduction."""
     sym = ctx.sym
     t0 = time.perf_counter()
-    u, lhs, rhs = theorem_sides(sym, k, variant)
-    traced = sym.r_trace(_lift(u, _block_diff(lhs, rhs), sym.N, k),
-                         range(1, k + 1))
+    ident = ProjectorIdentity(sym, k, variant)
+    traced = 0
+    for row, w in zip(ident.e, _trace_columns(sym, ident.u, k)):
+        (lhs,), (rhs,) = theorem_sides(ctx, ident, [row])
+        traced = traced + _ket(lhs, w) - _ket(rhs, w)
     t1 = time.perf_counter()
     res = ctx.reduce_poly(traced, k)
     t2 = time.perf_counter()
@@ -283,36 +340,32 @@ def verify_traced(ctx, k, variant="column"):
                     "reduction": round(1000 * (t2 - t1), 3)})
 
 
-def _det_row(sym, kind, v):
-    """The row block [v.M1...Mm] (kind "m") or [v.Dm...D1] (kind "d") at
-    the top rank m."""
+def _det_row(ctx, kind, row):
+    """row.M1...Mm (kind "m") or row.Dm...D1 (kind "d") at the top rank m,
+    in canonical form."""
+    sym = ctx.sym
     copies = matrix_copies(sym, kind, sym.rank)
     if kind == "d":
         copies.reverse()
-    return _through([v], copies)
+    return _through(ctx, [row], copies, sym.rank)[0]
 
 
-def _ket(row, u):
-    """row.u for a one-row block and a column of scalars."""
-    return rows_times(row, [[x] for x in u], 1)[0][0]
-
-
-def _det_forms(sym, kind):
+def _det_forms(ctx, kind):
     """Both forms of a quantum determinant, read off the one row
     v.M1...Mm (or v.Dm...D1) for A^(m) = u v: the weighted trace
     Tr_R(u (x) row) q^(m^2) and the bra-ket row.u."""
+    sym = ctx.sym
     m = sym.rank
     (u,), (v,) = rank_factor(sym.antisym(m))
-    row = _det_row(sym, kind, v)
-    traced = (sym.r_trace(_lift([u], row, sym.N, m), range(1, m + 1))
-              * sym.q_config.qpow(m * m))
-    return traced, _ket(row, u)
+    row = _det_row(ctx, kind, v)
+    (w,) = _trace_columns(sym, [u], m)
+    return _ket(row, w) * sym.q_config.qpow(m * m), _ket(row, u)
 
 
 def _det_poly(ctx, kind):
     """Quantum determinant via the weighted-trace form, cross-checked
     against the bra-ket form; the two must agree modulo the ideal."""
-    traced, usual = _det_forms(ctx.sym, kind)
+    traced, usual = _det_forms(ctx, kind)
     gap = ctx.reduce_poly(traced - usual, ctx.sym.rank)
     if not gap.is_zero():
         raise VerifyError(
@@ -329,46 +382,56 @@ def det_rinv(ctx):
     return _det_poly(ctx, "d")
 
 
+def _noncentral(ctx, z, kind):
+    """(generator, residual) for each generator x of the given kind with
+    z x - x z nonzero modulo the ideal."""
+    degree = 1 + max(len(w) for w in z.terms)
+    out = []
+    for row in gen_matrix(kind, ctx.sym.N).rows:
+        for x in row:
+            gap = ctx.reduce_poly(z * x - x * z, degree)
+            if not gap.is_zero():
+                out.append((next(iter(x.terms)), gap))
+    return out
+
+
 def verify_determinants(ctx):
-    """Form agreement and gauge invariance of both quantum determinants."""
+    """Form agreement of both quantum determinants, and their centrality:
+    det(M) commutes with every position generator and det(D) with every
+    derivative generator, modulo the ideal."""
     sym = ctx.sym
     t0 = time.perf_counter()
-    details = {}
-    residuals = 0
-    sample = []
     try:
-        dm = det_r(ctx)
-        dd = det_rinv(ctx)
-        details["forms_agree"] = "pass"
+        dets = {"m": det_r(ctx), "d": det_rinv(ctx)}
     except VerifyError as e:
         return _report(ctx, "det-forms", {"N": sym.N, "m": sym.rank}, 1,
                        [{"entry": ["forms"], "terms": [[str(e), "1"]]}],
                        {"build": round(1000 * (time.perf_counter() - t0), 3)})
-    m = sym.rank
-    (u,), (v,) = rank_factor(sym.antisym(m))
-    lam = sym.q_config.from_fraction(Fraction(5, 3))
-    inv_lam = sym.q_config.one() / lam
-    scaled_u = [x * lam if x else 0 for x in u]
-    scaled_v = [x * inv_lam if x else 0 for x in v]
-    for kind in ("m", "d"):
-        if (_ket(_det_row(sym, kind, scaled_v), scaled_u)
-                != _ket(_det_row(sym, kind, v), u)):
-            residuals += 1
-            sample.append({"entry": ["gauge-" + kind], "terms": []})
-    details["det_m_words"] = len(dm.terms)
-    details["det_d_words"] = len(dd.terms)
-    return _report(ctx, "det-forms", {"N": sym.N, "m": m}, residuals, sample,
+    bad = [_sample(("central-" + kind, letter), gap)
+           for kind, det in dets.items()
+           for letter, gap in _noncentral(ctx, det, kind)]
+    details = {"forms_agree": "pass",
+               "det_m_words": len(dets["m"].terms),
+               "det_d_words": len(dets["d"].terms)}
+    return _report(ctx, "det-forms", {"N": sym.N, "m": sym.rank}, len(bad),
+                   bad[:5],
                    {"build": round(1000 * (time.perf_counter() - t0), 3)},
                    details)
 
 
-def _cap1_lhs(sym):
-    """Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) at the top rank m, as
-    Tr_R(U.(E.LHS)) from theorem_sides: the trailing A^(m) of LHS is
-    absorbed by the R-trace, since C^(x)m commutes with A^(m)."""
+def _cap1_lhs(ctx):
+    """Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) at the top rank m, in
+    canonical form, as Tr_R(U.(E.LHS)) contracted on the rows of E: the
+    trailing A^(m) of LHS is absorbed by the R-trace, since C^(x)m
+    commutes with A^(m)."""
+    sym = ctx.sym
     m = sym.rank
-    u, lhs, _ = theorem_sides(sym, m, "column")
-    return sym.r_trace(_lift(u, lhs, sym.N, m), range(1, m + 1))
+    ident = ProjectorIdentity(sym, m, "column")
+    traced = 0
+    for row, w in zip(ident.lhs(ctx, ident.e),
+                      _trace_columns(sym, ident.u, m)):
+        traced = traced + _ket(row, w)
+    return traced
 
 
 def verify_cap1(ctx):
@@ -378,14 +441,18 @@ def verify_cap1(ctx):
     m = sym.rank
     cfg = sym.q_config
     t0 = time.perf_counter()
-    lhs = _cap1_lhs(sym)
+    lhs = _cap1_lhs(ctx)
     dm = det_r(ctx)
     dd = det_rinv(ctx)
+    # det(D) det(M) with det(M) in its bra-ket form v.M1...Mm.u, which
+    # _det_poly checked against the traced form: det(D) is folded into
+    # the row v one factor at a time
+    (u,), (v,) = rank_factor(sym.antisym(m))
+    reversed_rhs = _ket(_det_row(ctx, "m", [dd * x if x else 0 for x in v]),
+                        u)
     t1 = time.perf_counter()
-    # reduction is linear, so the large traced side is reduced once
-    lhs = ctx.reduce_poly(lhs, m)
     res = lhs - ctx.reduce_poly((dm * dd) * cfg.qpow(-m), m)
-    reversed_res = lhs - ctx.reduce_poly((dd * dm) * cfg.qpow(-m), m)
+    reversed_res = lhs - ctx.reduce_poly(reversed_rhs * cfg.qpow(-m), m)
     t2 = time.perf_counter()
     residuals = 0 if res.is_zero() else 1
     sample = [] if res.is_zero() else [_sample(("trace",), res)]
@@ -615,7 +682,7 @@ def verify_classical_consistency(ctx):
     t0 = time.perf_counter()
     m = sym.rank
     cfg = sym.q_config
-    lhs = ctx.reduce_poly(_cap1_lhs(sym), m)
+    lhs = _cap1_lhs(ctx)
     rhs = ctx.reduce_poly((det_r(ctx) * det_rinv(ctx)) * cfg.qpow(-m), m)
 
     staircase = [N - j for j in range(1, N + 1)]
@@ -684,15 +751,12 @@ def rigor_bound(sym, k, variant="column", rule_cap=4000, max_degree=12):
     if sym.q_config.mode != "symbolic":
         raise VerifyError("rigor bound requires the symbolic backend")
     ctx = RewriteContext(sym, rule_cap, max_degree)
-    u, lhs, rhs = theorem_sides(sym, k, variant)
-
-    def reduced(block):
-        # reduction is linear, so U.nf(E.side) = nf(P.side)
-        return _lift(u, [[ctx.reduce_poly(v, k) for v in row]
-                         for row in block], sym.N, k).rows
-
+    ident = ProjectorIdentity(sym, k, variant)
+    # both sides in canonical form, lifted to P.side = U.(E.side)
+    lhs, rhs = (_lift(ident.u, side, sym.N, k).rows
+                for side in theorem_sides(ctx, ident, ident.e))
     bound = 0
-    for row_l, row_r in zip(reduced(lhs), reduced(rhs)):
+    for row_l, row_r in zip(lhs, rhs):
         for nf_l, nf_r in zip(row_l, row_r):
             terms_l = nf_l.terms if nf_l else {}
             terms_r = nf_r.terms if nf_r else {}

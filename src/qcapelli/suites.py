@@ -72,6 +72,8 @@ def _sym(label):
             got = dj(2, QConfig.fixed(FIXED_Q))
         elif label == "dj3q":
             got = dj(3, QConfig.fixed(FIXED_Q))
+        elif label == "dj4q":
+            got = dj(4, QConfig.fixed(FIXED_Q))
         elif label == "flip2":
             got = flip(2)
         else:
@@ -240,7 +242,7 @@ def crit_8():
     _collect(checks, "determinant identity", rep.passed())
     rep = verify_determinants(ctx)
     reports.append(rep)
-    _collect(checks, "det forms and gauge", rep.passed())
+    _collect(checks, "det forms and centrality", rep.passed())
     return _finish(8, "traced corollaries", t0, checks, reports)
 
 
@@ -347,13 +349,14 @@ def run_suite(which="full", stretch=False, emit=print):
                     emit("      failed: %s" % name)
     if stretch and which == "full":
         t0 = time.perf_counter()
-        rep_c = verify_matrix_identity(_ctx("dj3q"), 3, "column")
-        rep_r = verify_matrix_identity(_ctx("dj3q"), 3, "row")
-        good = rep_c.passed() and rep_r.passed()
-        res = CriterionResult(6, "stretch: dj(3) k=3 (non-gating)", good,
-                              time.perf_counter() - t0,
-                              [("column", rep_c.passed()),
-                               ("row", rep_r.passed())], [rep_c, rep_r])
+        reps = [verify_matrix_identity(_ctx(label), 3, variant)
+                for label, variant in (("dj3q", "column"), ("dj3q", "row"),
+                                       ("dj4q", "column"))]
+        checks = [("%s %s" % (rep.rmatrix, rep.params["variant"]),
+                   rep.passed()) for rep in reps]
+        res = CriterionResult(6, "stretch: dj(3) and dj(4) k=3 (non-gating)",
+                              all(good for _, good in checks),
+                              time.perf_counter() - t0, checks, reps)
         results.append(res)
         emit(res.line())
     return ok, results

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from qcapelli import weyl
+from qcapelli import capelli, weyl
 from qcapelli.capelli import (
+    ProjectorIdentity,
     RewriteContext,
     VerifyError,
     _cap1_lhs,
     _det_forms,
-    _det_row,
-    _ket,
     _lift,
+    _noncentral,
     _reduce_matrix,
     _report,
     det_r,
@@ -36,7 +36,7 @@ from qcapelli.capelli import (
     verify_shift_scan,
     verify_traced,
 )
-from qcapelli.ncalg import NCPoly
+from qcapelli.ncalg import NCPoly, m_char
 from qcapelli.qlinalg import QMatrix, rank_factor, rows_times
 from qcapelli.rcatalog import dj, flip, load
 from qcapelli.rewrite import DegreeCapError
@@ -125,8 +125,10 @@ def ctx_for(label):
 
 
 def test_k1_is_tautological_before_reduction():
-    u, lhs, rhs = theorem_sides(dj(2), 1)
-    assert len(u) == 2
+    ctx = ctx_for("dj2")
+    ident = ProjectorIdentity(ctx.sym, 1)
+    lhs, rhs = theorem_sides(ctx, ident, ident.e)
+    assert len(ident.u) == 2
     assert all(a == b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
 
 
@@ -183,6 +185,80 @@ def test_wrong_shift_leaves_residual():
         assert rep.residual_sample
 
 
+def unreduced_sides(sym, k, variant="column", alpha=None):
+    """Reference: U and the row blocks E.LHS and E.RHS assembled in the
+    free algebra, one generator copy at a time with no reduction at all,
+    as the identity was checked before every side was kept canonical."""
+    cfg = sym.q_config
+    proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
+    u, e = rank_factor(proj)
+    mcop = matrix_copies(sym, "m", k)
+    dcop = matrix_copies(sym, "d", k)
+
+    def through(block, mats):
+        for x in mats:
+            block = rows_times(block, x.rows, x.dim)
+        return block
+
+    lhs = through(e, mcop[:1] + dcop[:1])
+    for i in range(2, k + 1):
+        s = shift_value(cfg, i, variant)
+        if alpha is not None and i == k:
+            s = alpha
+        moved = through(lhs, [mcop[i - 1], dcop[i - 1]])
+        lhs = [[a + s * b if b else a for a, b in zip(ra, rb)]
+               for ra, rb in zip(moved, lhs)]
+    lhs = through(lhs, [proj])
+    sign = 1 if variant == "column" else -1
+    c = cfg.qpow(sign * k * (k - 1))
+    rhs = [[c * v if v else 0 for v in row] for row in e]
+    return u, lhs, through(rhs, mcop + dcop[::-1])
+
+
+def _reduced_diff(ctx, k, lhs, rhs):
+    return [[ctx.reduce_poly(a - b, k) for a, b in zip(ra, rb)]
+            for ra, rb in zip(lhs, rhs)]
+
+
+# (label, k, variant, alpha, nonzero residual entries); the four alpha =
+# 7/2 controls leave residuals, the rest pass
+REFERENCE_CASES = ([("dj2q", 3, "row", "7/2", 30),
+                    ("dj3q", 2, "column", "7/2", 18),
+                    ("dj3q", 2, "row", "7/2", 39),
+                    ("dj2q", 3, "column", "7/2", 0)]
+                   + [(label, 2, v, None, 0) for label in ("dj2", "flip2")
+                      for v in ("column", "row")])
+
+
+@pytest.mark.parametrize("label,k,variant,alpha,nonzero", REFERENCE_CASES)
+def test_canonical_sides_match_the_unreduced_reference(label, k, variant,
+                                                       alpha, nonzero):
+    ctx = ctx_for(label)
+    sym = ctx.sym
+    if alpha is not None:
+        alpha = sym.q_config.parse(alpha)
+    u, lhs, rhs = unreduced_sides(sym, k, variant, alpha)
+    want = _reduced_diff(ctx, k, lhs, rhs)
+    ident = ProjectorIdentity(sym, k, variant, alpha)
+    got = _reduced_diff(ctx, k, *theorem_sides(ctx, ident, ident.e))
+    assert ident.u == u
+    assert got == want
+    assert sum(1 for row in got for v in row if v) == nonzero
+
+
+def test_row_at_a_time_report_matches_the_unreduced_reference():
+    ctx = ctx_for("dj3q")
+    alpha = ctx.sym.q_config.parse("7/2")
+    u, lhs, rhs = unreduced_sides(ctx.sym, 2, "row", alpha)
+    residuals, sample = _reduce_matrix(
+        ctx, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)], 2)
+    rep = verify_matrix_identity(ctx, 2, "row", alpha)
+    assert not rep.passed()
+    assert rep.residual_entries == residuals == 39
+    assert rep.residual_sample == sample
+    assert rep.details["projector_rank"] == len(u)
+
+
 def full_chain(sym, k, variant="column", alpha=None):
     """Reference: P X1 (X2 + s2 I) ... (Xk + sk I) as a dim x dim matrix,
     with X_i = M_i D_i and every product of two matrices formed."""
@@ -235,13 +311,11 @@ def test_row_block_matches_the_full_residual(label, k, variant, alpha):
         alpha = sym.q_config.parse(alpha)
     lhs, rhs = full_sides(sym, k, variant, alpha)
     full = [[ctx.reduce_poly(v, k) for v in row] for row in (lhs - rhs).rows]
-    u, blhs, brhs = theorem_sides(sym, k, variant, alpha)
-    _, e = rank_factor(sym.antisym(k) if variant == "column"
-                       else sym.ssym(k))
-    block = [[ctx.reduce_poly(a - b, k) for a, b in zip(ra, rb)]
-             for ra, rb in zip(blhs, brhs)]
+    ident = ProjectorIdentity(sym, k, variant, alpha)
+    e = ident.e
+    block = _reduced_diff(ctx, k, *theorem_sides(ctx, ident, e))
     assert block == rows_times(e, full, lhs.dim)
-    assert _lift(u, block, sym.N, k).rows == full
+    assert _lift(ident.u, block, sym.N, k).rows == full
     full_pass = all(v.is_zero() for row in full for v in row)
     rep = verify_matrix_identity(ctx, k, variant, alpha)
     assert rep.passed() == full_pass == (alpha is None)
@@ -251,22 +325,21 @@ def test_row_block_matches_the_full_residual(label, k, variant, alpha):
 
 @pytest.mark.parametrize("label", ["dj2", "dj2q", "dj3q", "flip2", "conj2"])
 def test_row_block_scalars_match_the_full_products(label):
-    sym = ctx_for(label).sym
+    ctx = ctx_for(label)
+    sym = ctx.sym
     cfg = sym.q_config
     m = sym.rank
     # Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) with dim x dim products
-    assert _cap1_lhs(sym) == sym.r_trace(full_chain(sym, m), range(1, m + 1))
+    assert _cap1_lhs(ctx) == ctx.reduce_poly(
+        sym.r_trace(full_chain(sym, m), range(1, m + 1)), m)
     proj = sym.antisym(m)
     (u,), (v,) = rank_factor(proj)
-    lam = cfg.from_fraction(Fraction(5, 3))
-    scaled_u = [x * lam if x else 0 for x in u]
-    scaled_v = [x / lam if x else 0 for x in v]
     for kind in ("m", "d"):
         chain = _det_chain(sym, kind)
         traced = sym.r_trace(proj * chain, range(1, m + 1)) * cfg.qpow(m * m)
-        assert _det_forms(sym, kind) == (traced, _bra_ket(v, chain, u))
-        assert (_ket(_det_row(sym, kind, scaled_v), scaled_u)
-                == _bra_ket(scaled_v, chain, scaled_u))
+        assert _det_forms(ctx, kind) == (ctx.reduce_poly(traced, m),
+                                         ctx.reduce_poly(
+                                             _bra_ket(v, chain, u), m))
 
 
 def _holds_poly(x):
@@ -325,10 +398,23 @@ def test_cap1_records_reversed_order_without_gating():
     assert rep.details["reversed_order"] in ("pass", "fail")
 
 
-def test_determinant_forms_and_gauge():
+def test_determinant_forms_and_centrality():
     rep = verify_determinants(ctx_for("dj2"))
     assert rep.passed()
     assert rep.details["forms_agree"] == "pass"
+
+
+def test_centrality_check_catches_a_noncentral_element(monkeypatch):
+    ctx = ctx_for("dj2")
+    cfg = ctx.sym.q_config
+    m12 = NCPoly.from_word(m_char(1, 2, 2), cfg.one())
+    assert not _noncentral(ctx, det_r(ctx), "m")
+    assert _noncentral(ctx, m12, "m")
+    monkeypatch.setattr(capelli, "det_r", lambda ctx: m12)
+    rep = verify_determinants(ctx)
+    assert not rep.passed()
+    assert rep.details["forms_agree"] == "pass"
+    assert all(s["entry"][0] == "central-m" for s in rep.residual_sample)
 
 
 def test_determinant_forms_dj3_fixed():

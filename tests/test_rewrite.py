@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcapelli.capelli import RewriteContext, _lift, theorem_sides
+from qcapelli.capelli import RewriteContext, _lift
 from qcapelli.ncalg import NCError, NCPoly, copy_up, d_char, gen_matrix, m_char
 from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse
 from qcapelli.rcatalog import dj, flip
@@ -295,12 +295,15 @@ def reduce_per_term(x, sys_m, sys_d, table):
 
 @pytest.mark.parametrize("N,q,count", [(2, None, 74), (3, "3/5", 405)])
 def test_grouped_reduce_matches_the_per_term_reference(N, q, count):
+    # the unreduced assembly gives large inputs; a local import, as above
+    from test_capelli import unreduced_sides
+
     sym = dj(N) if q is None else dj(N, QConfig.fixed(q))
     ctx = RewriteContext(sym)
     sys_m, sys_d = ctx.system("m", 2), ctx.system("d", 2)
     entries = 0
     for variant in ("column", "row"):
-        u, lhs, rhs = theorem_sides(sym, 2, variant)
+        u, lhs, rhs = unreduced_sides(sym, 2, variant)
         for block in (lhs, rhs):
             for row in block + _lift(u, block, sym.N, 2).rows:
                 for v in row:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import weyl
 from .ncalg import MAX_N, NCPoly, copy_up, gen_matrix
-from .qlinalg import QMatrix, embed, embed_tail, rank_factor, rows_times
+from .qlinalg import QMatrix, embed, rank_factor, rows_times, trace_weight
 from .rewrite import (
     DegreeCapError,
     complete,
@@ -133,13 +133,17 @@ class RewriteContext:
         return self.sym.q_config.describe()
 
 
-def _sample(entry, poly, cap=3):
-    terms = sorted(poly.terms.items())[:cap]
+SAMPLE_TERMS = 3
+SAMPLE_ENTRIES = 5
+
+
+def _sample(entry, poly):
+    terms = sorted(poly.terms.items())[:SAMPLE_TERMS]
     return {"entry": list(entry),
             "terms": [[w, scalar_to_text(c)] for w, c in terms]}
 
 
-def _reduce_matrix(ctx, rows, degree, sample_cap=5):
+def _reduce_matrix(ctx, rows, degree):
     residuals = 0
     sample = []
     for i, row in enumerate(rows):
@@ -149,7 +153,7 @@ def _reduce_matrix(ctx, rows, degree, sample_cap=5):
             r = ctx.reduce_poly(v, degree)
             if not r.is_zero():
                 residuals += 1
-                if len(sample) < sample_cap:
+                if len(sample) < SAMPLE_ENTRIES:
                     sample.append(_sample((i, j), r))
     return residuals, sample
 
@@ -173,7 +177,7 @@ def _report(ctx, identity, params, residuals, sample, timings, details=None):
 
 def matrix_copies(sym, kind, k):
     """X_ov1 .. X_ovk on k tensor legs, X_ov(i+1) = R_i X_ovi R_i^(-1)."""
-    x = embed_tail(gen_matrix(kind, sym.N), k)
+    x = embed(gen_matrix(kind, sym.N), 1, k)
     out = [x]
     for i in range(1, k):
         out.append(copy_up(out[-1], sym.R, sym.R_inv, i))
@@ -199,7 +203,8 @@ class ProjectorIdentity:
     of U and e the rows of E, the generator copies and the shifts; alpha,
     when given, replaces the final shift.  P.side = U.(E.side) and E = E P,
     so P W = 0 exactly when E W = 0, and the rows of E are independent:
-    lhs and rhs push any rows of E through one side.
+    lhs and rhs push any rows of E through one side.  alpha needs k >= 2,
+    since at k = 1 there is no shift to replace.
     """
 
     __slots__ = ("k", "proj", "u", "e", "mcop", "dcop", "shifts", "c")
@@ -207,10 +212,13 @@ class ProjectorIdentity:
     def __init__(self, sym, k, variant="column", alpha=None):
         if k < 1:
             raise VerifyError("k must be positive")
+        if alpha is not None and k < 2:
+            raise VerifyError("alpha replaces the final shift, and k = %d "
+                              "has none" % (k,))
         cfg = sym.q_config
         self.k = k
         self.shifts = [shift_value(cfg, i, variant) for i in range(2, k + 1)]
-        if alpha is not None and k > 1:
+        if alpha is not None:
             self.shifts[-1] = alpha
         self.proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
         self.u, self.e = rank_factor(self.proj)
@@ -274,10 +282,7 @@ def _trace_columns(sym, u, k):
     The R-trace of a projector side is Tr_R(U.B) = sum_i B_i.(W.U)_i over
     the rows B_i of its row block B, so no dim x dim matrix of
     polynomials is formed."""
-    w = [[1]]
-    for _ in range(k):
-        w = [[a * c if a and c else 0 for a in wrow for c in crow]
-             for wrow in w for crow in sym.c_matrix.rows]
+    w = trace_weight(sym.c_matrix, k).rows
     return [[_ket(wrow, col) for wrow in w] for col in u]
 
 
@@ -414,7 +419,7 @@ def verify_determinants(ctx):
                "det_m_words": len(dets["m"].terms),
                "det_d_words": len(dets["d"].terms)}
     return _report(ctx, "det-forms", {"N": sym.N, "m": sym.rank}, len(bad),
-                   bad[:5],
+                   bad[:SAMPLE_ENTRIES],
                    {"build": round(1000 * (time.perf_counter() - t0), 3)},
                    details)
 
@@ -468,8 +473,8 @@ def verify_mre(ctx):
     sym = ctx.sym
     N = sym.N
     t0 = time.perf_counter()
-    m1 = embed_tail(gen_matrix("m", N), 2)
-    d1 = embed_tail(gen_matrix("d", N), 2)
+    m1 = embed(gen_matrix("m", N), 1, 2)
+    d1 = embed(gen_matrix("d", N), 1, 2)
     l1 = m1 * d1
     R = sym.R
     rl = R * l1
@@ -490,7 +495,7 @@ def verify_re_ideal(ctx):
     N = sym.N
     t0 = time.perf_counter()
     mcop = matrix_copies(sym, "m", 3)
-    d1 = embed_tail(gen_matrix("d", N), 3)
+    d1 = embed(gen_matrix("d", N), 1, 3)
     r2 = embed(sym.R, 2, 3)
     pair = mcop[1] * mcop[2]
     y = r2 * pair - pair * r2
@@ -508,8 +513,10 @@ def verify_re_ideal(ctx):
 
 
 def verify_h_copy(ctx, p):
-    """Higher-copy form of the position relations on p+1 legs."""
+    """Higher-copy form of the position relations on p+1 legs, p >= 1."""
     sym = ctx.sym
+    if p < 1:
+        raise VerifyError("h-copy needs p >= 1, got %d" % (p,))
     t0 = time.perf_counter()
     legs = p + 1
     mcop = matrix_copies(sym, "m", legs)
@@ -525,8 +532,11 @@ def verify_h_copy(ctx, p):
 
 
 def verify_consum(ctx, k):
-    """Eigenvalue absorption of the braiding by both projectors."""
+    """Eigenvalue absorption of the braiding by both projectors on k >= 2
+    legs, at every braiding position."""
     sym = ctx.sym
+    if k < 2:
+        raise VerifyError("consum needs k >= 2, got %d" % (k,))
     cfg = sym.q_config
     t0 = time.perf_counter()
     a = sym.antisym(k)
@@ -567,8 +577,8 @@ def verify_exchange_general(ctx, p, k):
     t0 = time.perf_counter()
     legs = k
     dcop = matrix_copies(sym, "d", legs)
-    m1 = embed_tail(gen_matrix("m", sym.N), legs)
-    l1 = m1 * embed_tail(gen_matrix("d", sym.N), legs)
+    m1 = embed(gen_matrix("m", sym.N), 1, legs)
+    l1 = m1 * embed(gen_matrix("d", sym.N), 1, legs)
     lk = l1
     for i in range(1, k):
         lk = copy_up(lk, sym.R, sym.R_inv, i)
@@ -591,7 +601,9 @@ def verify_exchange_general(ctx, p, k):
 
 def verify_shift_scan(ctx, k, alphas=None):
     """Negative control: every wrong final shift must leave a residual,
-    and the correct one must not."""
+    and the correct one must not.  k >= 2, since k = 1 has no shift."""
+    if k < 2:
+        raise VerifyError("shift-scan needs k >= 2, got %d" % (k,))
     cfg = ctx.sym.q_config
     if alphas is None:
         alphas = [cfg.zero(), cfg.one(), cfg.qpow(2)]
@@ -771,32 +783,40 @@ def rigor_bound(sym, k, variant="column", rule_cap=4000, max_degree=12):
     return bound
 
 
-def verify_rigor(sym_builder, k, variant="column", extra_points=0,
-                 rule_cap=4000, max_degree=12):
-    """Point-evaluation proof of the factorization identity.
+def verify_rigor(sym, k, variant="column", rule_cap=4000, max_degree=12):
+    """Point-evaluation proof of the factorization identity for the
+    symmetry sym at symbolic q.
 
-    sym_builder(cfg_or_q) must return the symmetry at a symbolic or fixed
-    q.  The residual's coefficient span is bounded symbolically, then the
-    identity is checked at bound+1 distinct positive rational points; a
-    Laurent polynomial with that span vanishing at that many nonzero
-    points is identically zero.  The points are checked in order, in this
-    process.  rule_cap and max_degree bound every rewrite context, as in
-    RewriteContext.
+    The residual's coefficient span is bounded symbolically, then the
+    identity is checked at bound+1 distinct positive rational points, each
+    on sym.rebuild_at(point); a Laurent polynomial with that span
+    vanishing at that many nonzero points is identically zero.  A fixed q
+    or a symmetry with no rebuilder raises VerifyError.  The points are
+    checked in order, in this process.  rule_cap and max_degree bound
+    every rewrite context, as in RewriteContext.
     """
     t0 = time.perf_counter()
-    symbolic = sym_builder(None)
-    bound = rigor_bound(symbolic, k, variant, rule_cap, max_degree)
-    points = _height_points(bound + 1 + extra_points)
+    # every point list starts at the same point: rebuilding it first
+    # rejects a symmetry with no rebuilder before the symbolic bound
+    first = sym.rebuild_at(_height_points(1)[0])
+    if first is None:
+        raise VerifyError("rigor mode needs a family that can be rebuilt at "
+                          "fixed q; %s has no rebuilder" % (sym.name,))
+    bound = rigor_bound(sym, k, variant, rule_cap, max_degree)
+    points = _height_points(bound + 1)
     t1 = time.perf_counter()
-    failures = [str(pt) for pt in points if not verify_matrix_identity(
-        RewriteContext(sym_builder(pt), rule_cap, max_degree), k,
-        variant).passed()]
+    failures = []
+    for i, pt in enumerate(points):
+        at = sym.rebuild_at(pt) if i else first
+        if not verify_matrix_identity(RewriteContext(at, rule_cap, max_degree),
+                                      k, variant).passed():
+            failures.append(str(pt))
     t2 = time.perf_counter()
     residuals = len(failures)
     return VerificationReport(
         identity="rigor",
-        params={"N": symbolic.N, "k": k, "variant": variant},
-        rmatrix=symbolic.name,
+        params={"N": sym.N, "k": k, "variant": variant},
+        rmatrix=sym.name,
         q_points=[str(p) for p in points],
         backend="multi-point",
         outcome="pass" if residuals == 0 else "fail",

@@ -150,6 +150,10 @@ def _emit(reports, fmt, out):
 
 def _run_verify(args, out):
     ident = args.identity
+    if args.alpha is not None and (args.rigor or ident not in
+                                   ("th", "th-s", "shift-scan")):
+        raise ConfigError("--alpha applies to th, th-s and shift-scan only, "
+                          "without --rigor")
 
     if ident == "classical":
         return _emit([verify_classical(args.N)], args.format, out)
@@ -160,18 +164,8 @@ def _run_verify(args, out):
     if args.rigor:
         if ident not in ("th", "th-s"):
             raise ConfigError("--rigor applies to th and th-s only")
-        if args.rmatrix != "dj" or args.q != "symbolic":
-            raise ConfigError(
-                "--rigor needs --rmatrix dj with --q symbolic")
         variant = "column" if ident == "th" else "row"
-        n = args.N
-
-        def builder(pt):
-            if pt is None:
-                return rcatalog.dj(n)
-            return rcatalog.dj(n, QConfig.fixed(pt))
-
-        rep = verify_rigor(builder, args.k, variant, **caps)
+        rep = verify_rigor(_symmetry_for(args), args.k, variant, **caps)
         return _emit([rep], args.format, out)
 
     sym = _symmetry_for(args)

@@ -7,6 +7,9 @@ RatQ scalars, or free-algebra polynomials (ncalg.NCPoly), mixed freely.
 The ints 0/1 are backend-neutral constants, 0 is every ring's zero and
 zero tests use truthiness.  Products keep the order of their factors;
 rows_times also multiplies a block of rows that is not square.
+This module alone works on tensor legs: embed places any operator on
+any run of consecutive legs, trace_weight builds C^(x)k from it, and
+r_trace is the one full R-trace, Tr(X.C^(x)p).
 The one exact elimination, echelon, needs scalar entries; the inverse,
 the rank and the rank factorization P = U.E of a projector
 (rank_factor) are read off it.
@@ -125,12 +128,6 @@ class QMatrix:
     def is_zero(self):
         return all(not v for row in self.rows for v in row)
 
-    def trace(self):
-        acc = 0
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def _compat(self, other):
         if self.N != other.N or self.p != other.p:
             raise QLinError("mismatched shapes: (%d legs, N=%d) vs (%d legs, N=%d)"
@@ -156,68 +153,39 @@ def rows_times(rows, other, width):
     return out
 
 
-def embed(R, i, p):
-    """Place a 2-leg operator on legs (i, i+1) of a p-leg space."""
-    if R.p != 2:
-        raise QLinError("embed expects a 2-leg operator")
-    if not (1 <= i <= p - 1):
-        raise QLinError("leg %d out of range for %d legs" % (i, p))
-    N = R.N
+def embed(X, i, p):
+    """Place X on legs i .. i + X.p - 1 of a p-leg space, with the
+    identity on every other leg: I^(x)(i-1) (x) X (x) I^(x)(p-i-X.p+1)."""
+    last = i + X.p - 1
+    if not (1 <= i and last <= p):
+        raise QLinError("legs %d..%d out of range for %d legs" % (i, last, p))
+    N, dim = X.N, X.dim
     pre = N ** (i - 1)
-    post = N ** (p - i - 1)
+    post = N ** (p - last)
     out = QMatrix.zeros(N, p)
-    nn = N * N
-    for x in range(nn):
-        rrow = R.rows[x]
-        for y in range(nn):
-            v = rrow[y]
+    for x in range(dim):
+        xrow = X.rows[x]
+        for y in range(dim):
+            v = xrow[y]
             if not v:
                 continue
             for a in range(pre):
-                base_r = (a * nn + x) * post
-                base_c = (a * nn + y) * post
+                base_r = (a * dim + x) * post
+                base_c = (a * dim + y) * post
                 for b in range(post):
                     out.rows[base_r + b][base_c + b] = v
     return out
 
 
-def embed_tail(X, p):
-    """Pad a k-leg operator with identity legs up to p legs."""
-    if X.p > p:
-        raise QLinError("cannot shrink the leg count")
-    if X.p == p:
-        return X
-    N = X.N
-    post = N ** (p - X.p)
-    out = QMatrix.zeros(N, p)
-    for a in range(X.dim):
-        xrow = X.rows[a]
-        for c in range(X.dim):
-            v = xrow[c]
-            if not v:
-                continue
-            for t in range(post):
-                out.rows[a * post + t][c * post + t] = v
-    return out
-
-
 def partial_trace(X, leg, weight):
-    """Weighted partial trace over one leg; the weight is a 1-leg operator
-    applied before tracing."""
+    """Weighted partial trace over one leg of a p-leg operator, p >= 2;
+    the weight is a 1-leg operator applied before tracing."""
     N, p = X.N, X.p
+    if p < 2:
+        raise QLinError("a partial trace needs at least two legs; "
+                        "use r_trace for the full trace")
     if not (1 <= leg <= p):
         raise QLinError("leg %d out of range for %d legs" % (leg, p))
-    if p == 1:
-        acc = 0
-        for s in range(N):
-            for k in range(N):
-                v = X.rows[s][k]
-                if not v:
-                    continue
-                w = weight.rows[k][s]
-                if w:
-                    acc = acc + w * v
-        return acc
     div = N ** (p - leg)
     out = QMatrix.zeros(N, p - 1)
     dim = X.dim
@@ -238,14 +206,24 @@ def partial_trace(X, leg, weight):
     return out
 
 
-def r_trace(X, legs, c_matrix):
-    """Trace the listed legs (1-based) against the trace weight, highest
-    leg first so remaining leg numbers stay stable.  Returns a QMatrix on
-    the surviving legs, or a ring element when every leg is traced."""
-    out = X
-    for leg in sorted(set(legs), reverse=True):
-        out = partial_trace(out, leg, c_matrix)
+def trace_weight(C, k):
+    """C^(x)k on k legs, the product of C placed on each leg."""
+    out = embed(C, 1, k)
+    for leg in range(2, k + 1):
+        out = out * embed(C, leg, k)
     return out
+
+
+def r_trace(X, c_matrix):
+    """The R-trace over every leg of X, Tr(X.W) = sum X[r][c] W[c][r] with
+    the trace weight W = C^(x)X.p; a ring element."""
+    w = trace_weight(c_matrix, X.p).rows
+    acc = 0
+    for r, xrow in enumerate(X.rows):
+        for c, v in enumerate(xrow):
+            if v and w[c][r]:
+                acc = acc + w[c][r] * v
+    return acc
 
 
 def matrix_inverse(M):
@@ -351,7 +329,7 @@ def skew_inverse(R, a_top, cfg):
     m = a_top.p
     target = cfg.qpow(-m * m)
     for weight in (partial_trace(psi, 1, ident), partial_trace(psi, 2, ident)):
-        if r_trace(a_top, range(1, m + 1), weight) == target:
+        if r_trace(a_top, weight) == target:
             return SkewInverseData(psi=psi, c_matrix=weight)
     raise CalibrationError("neither partial trace satisfies the normalization")
 
@@ -363,7 +341,7 @@ def tower_step(R, prev, cfg, sign):
     (sign -1), mid = q^(1-j) I + [j-1]_q R_(j-1) for the q-symmetrizer
     S^(j) (sign +1).  Both towers start from the identity on one leg."""
     j = prev.p + 1
-    pad = embed_tail(prev, j)
+    pad = embed(prev, 1, j)
     mid = QMatrix.identity(R.N, j).scale(cfg.qpow(-sign * (j - 1)))
     rj = embed(R, j - 1, j).scale(cfg.qnum(j - 1))
     mid = mid + rj if sign > 0 else mid - rj

@@ -83,8 +83,9 @@ class HeckeSymmetry:
     def ssym(self, k):
         return self._level(self._symm, k, +1)
 
-    def r_trace(self, X, legs):
-        return r_trace(X, legs, self.c_matrix)
+    def r_trace(self, X):
+        """The R-trace of X over all of its legs."""
+        return r_trace(X, self.c_matrix)
 
     def rebuild_at(self, q):
         """The same catalog family at another fixed q, when available."""
@@ -97,14 +98,14 @@ class HeckeSymmetry:
             self.name, self.N, self.q_config.describe())
 
 
-def validate_symmetry(R, cfg, name, rank_cap=6, rebuilder=None):
+def validate_symmetry(R, cfg, name, rebuilder=None):
     if not check_braid(R):
         raise CatalogValidationError(name, "braid")
     if not check_hecke(R, cfg):
         raise CatalogValidationError(name, "hecke")
     sym = HeckeSymmetry(name, R, cfg, rebuilder)
     try:
-        sym.rank_report = rank_of(sym.antisym, sym.N, cap=rank_cap)
+        sym.rank_report = rank_of(sym.antisym, sym.N)
     except QLinError as e:
         raise CatalogValidationError(name, "rank", str(e))
     try:

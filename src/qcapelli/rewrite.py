@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 
 from .ncalg import NCPoly, d_char, gen_matrix, m_char, word_key
-from .qlinalg import embed_tail
+from .qlinalg import embed
 from .scalar import inv as scalar_inv
 
 
@@ -143,8 +143,8 @@ def derive_exchange(sym):
     """
     N = sym.N
     R, Rinv, psi = sym.R, sym.R_inv, sym.skew.psi
-    m1 = embed_tail(gen_matrix("m", N), 2)
-    d1 = embed_tail(gen_matrix("d", N), 2)
+    m1 = embed(gen_matrix("m", N), 1, 2)
+    d1 = embed(gen_matrix("d", N), 1, 2)
     rhs = (R * m1 * Rinv * d1 * Rinv).shifted(1)
 
     rules = {}
@@ -172,8 +172,8 @@ def derive_exchange(sym):
 def exchange_round_trip_ok(sym, table):
     """Rebuild both sides of the permutation relation through the table."""
     N = sym.N
-    m1 = embed_tail(gen_matrix("m", N), 2)
-    d1 = embed_tail(gen_matrix("d", N), 2)
+    m1 = embed(gen_matrix("m", N), 1, 2)
+    d1 = embed(gen_matrix("d", N), 1, 2)
     lhs = d1 * (sym.R * m1)
     rhs = (sym.R * m1 * sym.R_inv * d1 * sym.R_inv).shifted(1)
     for lrow, rrow in zip(lhs.rows, rhs.rows):
@@ -250,7 +250,7 @@ def _relation_polys(R, X1):
 
 def _derive_rules(sym, kind):
     N = sym.N
-    x1 = embed_tail(gen_matrix(kind, N), 2)
+    x1 = embed(gen_matrix(kind, N), 1, 2)
     braiding = sym.R if kind == "m" else sym.R_inv
     rules = _rref_rules(_relation_polys(braiding, x1))
     cfg = sym.q_config

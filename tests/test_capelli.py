@@ -77,7 +77,7 @@ def e_k(sym, k):
     chain = None
     for x in matrix_copies(sym, "m", k):
         chain = x if chain is None else chain * x
-    return sym.r_trace(sym.antisym(k) * chain, range(1, k + 1))
+    return sym.r_trace(sym.antisym(k) * chain)
 
 
 def verify_matr_id(ctx):
@@ -331,12 +331,12 @@ def test_row_block_scalars_match_the_full_products(label):
     m = sym.rank
     # Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) with dim x dim products
     assert _cap1_lhs(ctx) == ctx.reduce_poly(
-        sym.r_trace(full_chain(sym, m), range(1, m + 1)), m)
+        sym.r_trace(full_chain(sym, m)), m)
     proj = sym.antisym(m)
     (u,), (v,) = rank_factor(proj)
     for kind in ("m", "d"):
         chain = _det_chain(sym, kind)
-        traced = sym.r_trace(proj * chain, range(1, m + 1)) * cfg.qpow(m * m)
+        traced = sym.r_trace(proj * chain) * cfg.qpow(m * m)
         assert _det_forms(ctx, kind) == (ctx.reduce_poly(traced, m),
                                          ctx.reduce_poly(
                                              _bra_ket(v, chain, u), m))
@@ -528,13 +528,7 @@ def test_context_degree_cap():
 def test_rigor_bound_and_points():
     bound = rigor_bound(dj(2), 2)
     assert bound >= 1
-
-    def builder(pt):
-        if pt is None:
-            return dj(2)
-        return dj(2, QConfig.fixed(pt))
-
-    rep = verify_rigor(builder, 2)
+    rep = verify_rigor(dj(2), 2)
     assert rep.passed()
     assert rep.details["points_checked"] == bound + 1
     assert len(set(rep.q_points)) == bound + 1
@@ -544,16 +538,17 @@ def test_rigor_bound_and_points():
 def test_rigor_bound_needs_symbolic_backend():
     with pytest.raises(VerifyError):
         rigor_bound(dj(2, QConfig.fixed("3/5")), 2)
+    # a fixed q, or a symmetry that cannot be rebuilt at the points
+    for sym in (dj(2, QConfig.fixed("3/5")), flip(2)):
+        with pytest.raises(VerifyError):
+            verify_rigor(sym, 2)
 
 
 def test_rigor_honours_the_degree_cap():
-    def builder(pt):
-        return dj(2) if pt is None else dj(2, QConfig.fixed(pt))
-
     with pytest.raises(DegreeCapError):
         rigor_bound(dj(2), 2, max_degree=1)
     with pytest.raises(DegreeCapError):
-        verify_rigor(builder, 2, max_degree=1)
+        verify_rigor(dj(2), 2, max_degree=1)
 
 
 def _dj2_file(tmp_path, q):

@@ -238,12 +238,48 @@ def test_bad_alpha_is_config_error():
     assert code == EXIT_CONFIG
 
 
-def test_rigor_constraints():
+def test_rigor_constraints(tmp_path):
     code, text = run(["verify", "--identity", "cap1", "--rigor"])
     assert code == EXIT_CONFIG
     code, text = run(["verify", "--identity", "th", "--rigor",
                       "--q", "3/5"])
     assert code == EXIT_CONFIG
+    # symbolic q but no family to rebuild at the points
+    for source in (["--rmatrix", "flip"],
+                   ["--rmatrix", _dj2_file(tmp_path / "s.rmx",
+                                           q="symbolic")]):
+        code, text = run(["verify", "--identity", "th", "--rigor"] + source)
+        assert code == EXIT_CONFIG, (source, text)
+        assert text.startswith("configuration error"), (source, text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--identity", "th", "--k", "1", "--alpha", "7"],
+    ["--identity", "th-s", "--k", "1", "--alpha", "7"],
+    ["--identity", "shift-scan", "--k", "1", "--alpha", "7"],
+    ["--identity", "cap-as", "--alpha", "5"],
+    ["--identity", "mre", "--alpha", "5"],
+    ["--identity", "classical", "--alpha", "5"],
+    ["--identity", "th", "--rigor", "--alpha", "5"],
+])
+def test_alpha_that_would_be_ignored_is_config_error(argv):
+    code, text = run(["verify"] + argv)
+    assert code == EXIT_CONFIG, text
+    assert text.startswith("configuration error"), text
+
+
+@pytest.mark.parametrize("argv", [
+    ["--identity", "h-copy", "--p", "0"],
+    ["--identity", "h-copy", "--p", "-1"],
+    ["--identity", "consum", "--k", "0"],
+    ["--identity", "consum", "--k", "1"],
+    ["--identity", "shift-scan", "--k", "0"],
+    ["--identity", "shift-scan", "--k", "1"],
+])
+def test_out_of_range_parameters_are_config_errors(argv):
+    code, text = run(["verify"] + argv)
+    assert code == EXIT_CONFIG, text
+    assert text.startswith("configuration error"), text
 
 
 def test_rigor_parallel_points():

@@ -12,7 +12,7 @@ from qcapelli.ncalg import (
     m_char,
     word_key,
 )
-from qcapelli.qlinalg import embed, embed_tail, partial_trace, r_trace
+from qcapelli.qlinalg import QMatrix, embed, partial_trace, r_trace
 from qcapelli.rcatalog import dj
 from qcapelli.rewrite import derive_exchange
 from qcapelli.scalar import QConfig
@@ -110,7 +110,7 @@ def test_matrix_products_respect_order():
 def test_scalar_matrix_products_match_embedding():
     rng = random.Random(22)
     sym = dj(2, QConfig.fixed(Fraction(3, 5)))
-    M1 = embed_tail(gen_matrix("m", 2), 2)
+    M1 = embed(gen_matrix("m", 2), 1, 2)
     left = sym.R * M1
     right = M1 * sym.R
     # scalars commute with words entrywise, so (R M1)_ij words equal M1-words
@@ -123,7 +123,7 @@ def test_scalar_matrix_products_match_embedding():
 
 def test_copy_up_down_inverse():
     sym = dj(2)
-    M1 = embed_tail(gen_matrix("m", 2), 2)
+    M1 = embed(gen_matrix("m", 2), 1, 2)
     up = copy_up(M1, sym.R, sym.R_inv, 1)
     back = embed(sym.R_inv, 1, 2) * up * embed(sym.R, 1, 2)
     assert back == M1
@@ -133,9 +133,10 @@ def test_copy_up_down_inverse():
 def test_embed_tail_and_trace_of_generators():
     sym = dj(2)
     M = gen_matrix("m", 2)
-    M1 = embed_tail(M, 2)
+    M1 = embed(M, 1, 2)
+    trace_c = r_trace(QMatrix.identity(2, 1), sym.c_matrix)
     t2 = partial_trace(M1, 2, sym.c_matrix)
-    assert t2 == M.scale(sym.c_matrix.trace())
-    tr = r_trace(M1, [1, 2], sym.c_matrix)
-    direct = r_trace(M, [1], sym.c_matrix) * sym.c_matrix.trace()
+    assert t2 == M.scale(trace_c)
+    tr = r_trace(M1, sym.c_matrix)
+    direct = r_trace(M, sym.c_matrix) * trace_c
     assert tr == direct

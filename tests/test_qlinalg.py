@@ -15,7 +15,6 @@ from qcapelli.qlinalg import (
     check_braid,
     check_hecke,
     embed,
-    embed_tail,
     matrix_inverse,
     matrix_rank,
     partial_trace,
@@ -23,6 +22,7 @@ from qcapelli.qlinalg import (
     rank_factor,
     rank_of,
     skew_inverse,
+    trace_weight,
 )
 from qcapelli.rcatalog import dj, flip
 from qcapelli.scalar import QConfig, parse_scalar, scalar_to_text
@@ -39,6 +39,13 @@ def rand_qmatrix(rng, N, p, density=0.6):
     return out
 
 
+def kron(A, B):
+    """A (x) B with A on the leading legs, entry by entry."""
+    return QMatrix(A.N, A.p + B.p,
+                   [[a * b if a and b else 0 for a in arow for b in brow]
+                    for arow in A.rows for brow in B.rows])
+
+
 def test_embed_is_multiplicative():
     rng = random.Random(11)
     for _ in range(10):
@@ -46,20 +53,31 @@ def test_embed_is_multiplicative():
         B = rand_qmatrix(rng, 2, 2)
         for i in (1, 2):
             assert embed(A * B, i, 3) == embed(A, i, 3) * embed(B, i, 3)
-        assert embed_tail(A * B, 3) == embed_tail(A, 3) * embed_tail(B, 3)
+        # X (x) I on the leading legs, I (x) X on the trailing ones
+        assert embed(A, 1, 3) == kron(A, QMatrix.identity(2, 1))
+        assert embed(A, 2, 3) == kron(QMatrix.identity(2, 1), A)
+        C = rand_qmatrix(rng, 2, 1)
+        assert embed(C, 1, 3) == kron(C, QMatrix.identity(2, 2))
+        assert embed(C, 3, 3) == kron(QMatrix.identity(2, 2), C)
     assert embed(QMatrix.identity(2, 2), 1, 3) == QMatrix.identity(2, 3)
+    for i, p in ((0, 3), (3, 3), (1, 1)):
+        with pytest.raises(QLinError):
+            embed(A, i, p)
     # generator-valued and mixed scalar/generator factors
-    M1 = embed_tail(gen_matrix("m", 2), 2)
-    D1 = embed_tail(gen_matrix("d", 2), 2)
+    M1 = embed(gen_matrix("m", 2), 1, 2)
+    D1 = embed(gen_matrix("d", 2), 1, 2)
     S = rand_qmatrix(rng, 2, 2)
     for A, B in ((M1, D1), (D1, M1), (S, M1), (M1, S), (S * D1, M1 * S)):
-        assert embed_tail(A * B, 3) == embed_tail(A, 3) * embed_tail(B, 3)
+        for i in (1, 2):
+            assert embed(A * B, i, 3) == embed(A, i, 3) * embed(B, i, 3)
+    assert embed(M1, 1, 3) == kron(M1, QMatrix.identity(2, 1))
+    assert embed(M1, 2, 3) == kron(QMatrix.identity(2, 1), M1)
     assert M1 * D1 != D1 * M1
 
 
 def test_mixed_products_associate():
     sym = dj(2)
-    X = embed_tail(gen_matrix("m", 2), 2)
+    X = embed(gen_matrix("m", 2), 1, 2)
     S, T = sym.R, sym.R_inv
     assert (S * X) * T == S * (X * T)
     assert not (S * X * T).is_zero()
@@ -98,10 +116,12 @@ def test_partial_trace_factorizes_disjoint_products():
                 for d in range(2):
                     X.rows[a * 2 + b][c * 2 + d] = A.rows[a][c] * B.rows[b][d]
     t2 = partial_trace(X, 2, W)
-    scale = partial_trace(B, 1, W)
+    scale = r_trace(B, W)
     assert t2 == A.scale(scale)
-    full = partial_trace(t2, 1, W)
-    assert full == partial_trace(A, 1, W) * scale
+    assert r_trace(X, W) == r_trace(t2, W) == r_trace(A, W) * scale
+    # one leg left is a full trace, which only r_trace takes
+    with pytest.raises(QLinError):
+        partial_trace(t2, 1, W)
 
 
 def test_braid_and_hecke_checks():
@@ -141,7 +161,7 @@ def test_skew_inverse_values_and_round_trip():
     assert traced == p13
     f = flip(2)
     assert f.c_matrix == QMatrix.identity(2, 1)
-    assert f.c_matrix.trace() == 2
+    assert r_trace(QMatrix.identity(2, 1), f.c_matrix) == 2
     assert skew_inverse(f.R, f.antisym(2), f.q_config).c_matrix == f.c_matrix
     # the calibration needs A^(m): a lower level fails the normalization
     with pytest.raises(CalibrationError):
@@ -157,7 +177,7 @@ def test_symmetrizer_tower_properties():
             assert A * A == A
             assert S * S == S
             if k > 1:
-                a_prev = embed_tail(sym.antisym(k - 1), k)
+                a_prev = embed(sym.antisym(k - 1), 1, k)
                 assert A == A * a_prev
                 assert A == a_prev * A
                 rinv = matrix_inverse(R)
@@ -193,13 +213,27 @@ def test_trace_normalization():
     for sym in (dj(2), dj(3, QConfig.fixed(Fraction(3, 5))), flip(2), flip(3)):
         m = sym.rank
         top = sym.antisym(m)
-        assert sym.r_trace(top, range(1, m + 1)) == sym.q_config.qpow(-m * m)
+        assert sym.r_trace(top) == sym.q_config.qpow(-m * m)
 
 
 def test_r_trace_of_identity_is_trace_of_weight():
     sym = dj(2)
-    val = sym.r_trace(QMatrix.identity(2, 1), [1])
-    assert val == sym.c_matrix.trace()
+    C = sym.c_matrix
+    val = sym.r_trace(QMatrix.identity(2, 1))
+    assert val == C.rows[0][0] + C.rows[1][1]
+    # Tr(X.W) = sum X[r][c] W[c][r] with W = C (x) ... (x) C
+    rng = random.Random(16)
+    W1 = rand_qmatrix(rng, 2, 1, density=0.9)
+    for p in (1, 2, 3):
+        W = trace_weight(W1, p)
+        want = W1
+        for _ in range(p - 1):
+            want = kron(want, W1)
+        assert W == want
+        X = rand_qmatrix(rng, 2, p)
+        assert r_trace(X, W1) == sum(X.rows[r][c] * W.rows[c][r]
+                                     for r in range(X.dim)
+                                     for c in range(X.dim))
 
 
 def test_rank_detection():

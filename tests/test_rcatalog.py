@@ -9,7 +9,7 @@ from qcapelli import rcatalog
 from qcapelli.capelli import RewriteContext, verify_matrix_identity
 from qcapelli.cli import EXIT_PASS, main
 from qcapelli.ncalg import gen_matrix
-from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse, tower_step
+from qcapelli.qlinalg import QMatrix, embed, matrix_inverse, tower_step
 from qcapelli.rcatalog import (
     CatalogError,
     CatalogValidationError,
@@ -231,7 +231,7 @@ def test_unipotent_conjugate_of_dj3_completes():
                                    ("d", sym.R_inv, derive_dd_rules)):
         system = complete(derive(sym), 2)
         assert len(system.rules) == 36
-        x1 = embed_tail(gen_matrix(kind, 3), 2)
+        x1 = embed(gen_matrix(kind, 3), 1, 2)
         for p in relation_entries(braiding, x1):
             assert not system.nf_terms(p.terms)
 

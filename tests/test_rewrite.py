@@ -6,7 +6,7 @@ import pytest
 
 from qcapelli.capelli import RewriteContext, _lift
 from qcapelli.ncalg import NCError, NCPoly, copy_up, d_char, gen_matrix, m_char
-from qcapelli.qlinalg import QMatrix, embed_tail, matrix_inverse
+from qcapelli.qlinalg import QMatrix, embed, matrix_inverse
 from qcapelli.rcatalog import dj, flip
 from qcapelli.rewrite import (
     BadSpecializationError,
@@ -66,8 +66,8 @@ def exchange_by_inversion(sym):
     skew inverse: invert the reshuffle T[(c,f)][(x,u)] = R[(x,c)][(u,f)]
     and apply it to the right-hand side."""
     N, R = sym.N, sym.R
-    m1 = embed_tail(gen_matrix("m", N), 2)
-    d1 = embed_tail(gen_matrix("d", N), 2)
+    m1 = embed(gen_matrix("m", N), 1, 2)
+    d1 = embed(gen_matrix("d", N), 1, 2)
     rhs = (R * m1 * sym.R_inv * d1 * sym.R_inv).shifted(1)
     t = QMatrix.zeros(N, 2)
     for c, f, x, u in itertools.product(range(N), repeat=4):
@@ -151,8 +151,8 @@ def test_completed_systems_kill_their_defining_relations():
     # regression: interreduction once flipped a sign and silently enlarged
     # the derivative-side ideal
     for sym in (dj(2), dj(3, QConfig.fixed("3/5"))):
-        m1 = embed_tail(gen_matrix("m", sym.N), 2)
-        d1 = embed_tail(gen_matrix("d", sym.N), 2)
+        m1 = embed(gen_matrix("m", sym.N), 1, 2)
+        d1 = embed(gen_matrix("d", sym.N), 1, 2)
         cm = complete(derive_re_rules(sym), 4)
         cd = complete(derive_dd_rules(sym), 4)
         for p in relation_entries(sym.R, m1):
@@ -250,8 +250,8 @@ def test_reduce_constant_on_ideal_translates():
     table = derive_exchange(sym)
     cm = complete(derive_re_rules(sym), 4)
     cd = complete(derive_dd_rules(sym), 4)
-    m1 = embed_tail(gen_matrix("m", 2), 2)
-    d1 = embed_tail(gen_matrix("d", 2), 2)
+    m1 = embed(gen_matrix("m", 2), 1, 2)
+    d1 = embed(gen_matrix("d", 2), 1, 2)
     cfg = sym.q_config
     rng = random.Random(55)
     rel_m = relation_entries(sym.R, m1)
@@ -368,8 +368,8 @@ def test_derivative_action_on_second_copy_is_inverse_braiding():
     for sym in (dj(2), flip(2), dj(3, QConfig.fixed("3/5"))):
         N = sym.N
         table = derive_exchange(sym)
-        d1 = embed_tail(gen_matrix("d", N), 2)
-        m2 = copy_up(embed_tail(gen_matrix("m", N), 2),
+        d1 = embed(gen_matrix("d", N), 1, 2)
+        m2 = copy_up(embed(gen_matrix("m", N), 1, 2),
                      sym.R, sym.R_inv, 1)
         dim = N * N
         for r in range(dim):

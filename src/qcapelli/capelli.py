@@ -175,6 +175,24 @@ def _report(ctx, identity, params, residuals, sample, timings, details=None):
     )
 
 
+def _timings(build, reduction):
+    return {"build": round(1000 * build, 3),
+            "reduction": round(1000 * reduction, 3)}
+
+
+def _verify_dense(ctx, identity, params, degree, assemble):
+    """The one path of the identities stated on whole dim x dim matrices:
+    assemble() builds the difference of the two sides, which is reduced
+    entrywise at the given completion degree."""
+    t0 = time.perf_counter()
+    diff = assemble()
+    t1 = time.perf_counter()
+    residuals, sample = _reduce_matrix(ctx, diff.rows, degree)
+    t2 = time.perf_counter()
+    return _report(ctx, identity, params, residuals, sample,
+                   _timings(t1 - t0, t2 - t1))
+
+
 def matrix_copies(sym, kind, k):
     """X_ov1 .. X_ovk on k tensor legs, X_ov(i+1) = R_i X_ovi R_i^(-1)."""
     x = embed(gen_matrix(kind, sym.N), 1, k)
@@ -318,8 +336,7 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None,
     if alpha is not None:
         params["alpha"] = scalar_to_text(alpha)
     return _report(ctx, name, params, residuals, sample,
-                   {"build": round(1000 * build, 3),
-                    "reduction": round(1000 * (total - build), 3)},
+                   _timings(build, total - build),
                    {"projector_rank": len(ident.u)})
 
 
@@ -340,9 +357,7 @@ def verify_traced(ctx, k, variant="column"):
     sample = [] if res.is_zero() else [_sample(("trace",), res)]
     name = "cap-as" if variant == "column" else "cap-s"
     return _report(ctx, name, {"N": sym.N, "k": k, "variant": variant},
-                   residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)})
+                   residuals, sample, _timings(t1 - t0, t2 - t1))
 
 
 def _det_row(ctx, kind, row):
@@ -463,8 +478,7 @@ def verify_cap1(ctx):
     sample = [] if res.is_zero() else [_sample(("trace",), res)]
     details = {"reversed_order": "pass" if reversed_res.is_zero() else "fail"}
     return _report(ctx, "cap1", {"N": sym.N, "m": m}, residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)}, details)
+                   _timings(t1 - t0, t2 - t1), details)
 
 
 def verify_mre(ctx):
@@ -472,20 +486,18 @@ def verify_mre(ctx):
     R X1 R X1 - X1 R X1 R = R X1 - X1 R for X = MD."""
     sym = ctx.sym
     N = sym.N
-    t0 = time.perf_counter()
-    m1 = embed(gen_matrix("m", N), 1, 2)
-    d1 = embed(gen_matrix("d", N), 1, 2)
-    l1 = m1 * d1
-    R = sym.R
-    rl = R * l1
-    lr = l1 * R
-    lhs = rl * R * l1 - lr * l1 * R
-    t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, (lhs - (rl - lr)).rows, 2)
-    t2 = time.perf_counter()
-    return _report(ctx, "mre", {"N": N}, residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)})
+
+    def assemble():
+        m1 = embed(gen_matrix("m", N), 1, 2)
+        d1 = embed(gen_matrix("d", N), 1, 2)
+        l1 = m1 * d1
+        R = sym.R
+        rl = R * l1
+        lr = l1 * R
+        lhs = rl * R * l1 - lr * l1 * R
+        return lhs - (rl - lr)
+
+    return _verify_dense(ctx, "mre", {"N": N}, 2, assemble)
 
 
 def verify_re_ideal(ctx):
@@ -493,23 +505,19 @@ def verify_re_ideal(ctx):
     across a quadratic relation multiplies it by a braiding chain."""
     sym = ctx.sym
     N = sym.N
-    t0 = time.perf_counter()
-    mcop = matrix_copies(sym, "m", 3)
-    d1 = embed(gen_matrix("d", N), 1, 3)
-    r2 = embed(sym.R, 2, 3)
-    pair = mcop[1] * mcop[2]
-    y = r2 * pair - pair * r2
-    r1i = embed(sym.R_inv, 1, 3)
-    r2i = embed(sym.R_inv, 2, 3)
-    tail = r1i * r2i * r2i * r1i
-    lhs = d1 * y
-    rhs = y * d1 * tail
-    t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, (lhs - rhs).rows, 3)
-    t2 = time.perf_counter()
-    return _report(ctx, "re-ideal", {"N": N}, residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)})
+
+    def assemble():
+        mcop = matrix_copies(sym, "m", 3)
+        d1 = embed(gen_matrix("d", N), 1, 3)
+        r2 = embed(sym.R, 2, 3)
+        pair = mcop[1] * mcop[2]
+        y = r2 * pair - pair * r2
+        r1i = embed(sym.R_inv, 1, 3)
+        r2i = embed(sym.R_inv, 2, 3)
+        tail = r1i * r2i * r2i * r1i
+        return d1 * y - y * d1 * tail
+
+    return _verify_dense(ctx, "re-ideal", {"N": N}, 3, assemble)
 
 
 def verify_h_copy(ctx, p):
@@ -517,18 +525,15 @@ def verify_h_copy(ctx, p):
     sym = ctx.sym
     if p < 1:
         raise VerifyError("h-copy needs p >= 1, got %d" % (p,))
-    t0 = time.perf_counter()
-    legs = p + 1
-    mcop = matrix_copies(sym, "m", legs)
-    rp = embed(sym.R, p, legs)
-    pair = mcop[p - 1] * mcop[p]
-    diff = rp * pair - pair * rp
-    t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, diff.rows, 2)
-    t2 = time.perf_counter()
-    return _report(ctx, "h-copy", {"N": sym.N, "p": p}, residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)})
+
+    def assemble():
+        legs = p + 1
+        mcop = matrix_copies(sym, "m", legs)
+        rp = embed(sym.R, p, legs)
+        pair = mcop[p - 1] * mcop[p]
+        return rp * pair - pair * rp
+
+    return _verify_dense(ctx, "h-copy", {"N": sym.N, "p": p}, 2, assemble)
 
 
 def verify_consum(ctx, k):
@@ -574,44 +579,37 @@ def verify_exchange_general(ctx, p, k):
     sym = ctx.sym
     if not 1 <= p < k:
         raise VerifyError("need 1 <= p < k")
-    t0 = time.perf_counter()
-    legs = k
-    dcop = matrix_copies(sym, "d", legs)
-    m1 = embed(gen_matrix("m", sym.N), 1, legs)
-    l1 = m1 * embed(gen_matrix("d", sym.N), 1, legs)
-    lk = l1
-    for i in range(1, k):
-        lk = copy_up(lk, sym.R, sym.R_inv, i)
-    dp = dcop[p - 1]
-    down = _r_chain(sym, legs, range(k - 1, p, -1), inverse=False)
-    up = _r_chain(sym, legs, range(p + 1, k), inverse=True)
-    rp_inv = embed(sym.R_inv, p, legs)
-    c2 = down * rp_inv * rp_inv * up
-    c1 = down * rp_inv * up
-    lhs = dp * lk
-    rhs = lk * dp * c2 + dp * c1
-    t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, (lhs - rhs).rows, 2)
-    t2 = time.perf_counter()
-    return _report(ctx, "exchange-general", {"N": sym.N, "p": p, "k": k},
-                   residuals, sample,
-                   {"build": round(1000 * (t1 - t0), 3),
-                    "reduction": round(1000 * (t2 - t1), 3)})
+
+    def assemble():
+        dcop = matrix_copies(sym, "d", k)
+        m1 = embed(gen_matrix("m", sym.N), 1, k)
+        lk = m1 * embed(gen_matrix("d", sym.N), 1, k)
+        for i in range(1, k):
+            lk = copy_up(lk, sym.R, sym.R_inv, i)
+        dp = dcop[p - 1]
+        down = _r_chain(sym, k, range(k - 1, p, -1), inverse=False)
+        up = _r_chain(sym, k, range(p + 1, k), inverse=True)
+        rp_inv = embed(sym.R_inv, p, k)
+        c2 = down * rp_inv * rp_inv * up
+        c1 = down * rp_inv * up
+        return dp * lk - (lk * dp * c2 + dp * c1)
+
+    return _verify_dense(ctx, "exchange-general",
+                         {"N": sym.N, "p": p, "k": k}, 2, assemble)
 
 
-def verify_shift_scan(ctx, k, alphas=None):
-    """Negative control: every wrong final shift must leave a residual,
-    and the correct one must not.  k >= 2, since k = 1 has no shift."""
+def verify_shift_scan(ctx, k):
+    """Negative control: every wrong final shift (0, 1 and q^2) must leave
+    a residual, and the correct one must not.  k >= 2, since k = 1 has no
+    shift."""
     if k < 2:
         raise VerifyError("shift-scan needs k >= 2, got %d" % (k,))
     cfg = ctx.sym.q_config
-    if alphas is None:
-        alphas = [cfg.zero(), cfg.one(), cfg.qpow(2)]
     correct = shift_value(cfg, k, "column")
     t0 = time.perf_counter()
     outcomes = []
     ok = True
-    for alpha in alphas:
+    for alpha in (cfg.zero(), cfg.one(), cfg.qpow(2)):
         rep = verify_matrix_identity(ctx, k, "column", alpha=alpha,
                                      identity="shift-scan")
         wrong_killed = rep.passed() and alpha != correct

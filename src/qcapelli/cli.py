@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested verifications passed, 1 a verification
 failed, 2 configuration error, 3 resource-cap abort, 4 internal error
-(an unexpected exception, never a verdict).
+(an unexpected exception, or an output closed before the verdict was
+written; never a verdict).
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-IDENTITIES = ("th", "th-s", "cap-as", "cap-s", "cap1", "mre", "re-ideal",
-              "consum", "h-copy", "exchange-general", "shift-scan",
-              "classical")
-
-
 class ConfigError(Exception):
     pass
 
@@ -66,19 +62,19 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_rmatrix(p):
-        p.add_argument("--rmatrix", default="dj",
+        p.add_argument("--rmatrix",
                        help="dj | flip | file:PATH (default dj)")
         p.add_argument("--N", type=int, default=2,
                        help="dimension for catalog families (default 2)")
-        p.add_argument("--q", default="symbolic",
+        p.add_argument("--q",
                        help="'symbolic' or a rational a/b (default symbolic)")
 
     ver = sub.add_parser("verify", help="verify one identity")
     add_rmatrix(ver)
     ver.add_argument("--identity", default="th", choices=IDENTITIES)
-    ver.add_argument("--k", type=int, default=2)
-    ver.add_argument("--p", type=int, default=1)
-    ver.add_argument("--alpha", default=None,
+    ver.add_argument("--k", type=int, help="chain length (default 2)")
+    ver.add_argument("--p", type=int, help="leg position (default 1)")
+    ver.add_argument("--alpha",
                      help="override the final diagonal shift (scalar text)")
     ver.add_argument("--rigor", action="store_true",
                      help="prove by evaluation at degree-bound+1 points")
@@ -148,65 +144,92 @@ def _emit(reports, fmt, out):
     return ok
 
 
-def _run_verify(args, out):
-    ident = args.identity
-    if args.alpha is not None and (args.rigor or ident not in
-                                   ("th", "th-s", "shift-scan")):
-        raise ConfigError("--alpha applies to th, th-s and shift-scan only, "
-                          "without --rigor")
-
-    if ident == "classical":
-        return _emit([verify_classical(args.N)], args.format, out)
-
-    caps = {"rule_cap": _env_int("QCAPELLI_RULE_CAP", 4000),
+def _caps():
+    return {"rule_cap": _env_int("QCAPELLI_RULE_CAP", 4000),
             "max_degree": _env_int("QCAPELLI_MAX_DEGREE", 12)}
 
-    if args.rigor:
-        if ident not in ("th", "th-s"):
-            raise ConfigError("--rigor applies to th and th-s only")
-        variant = "column" if ident == "th" else "row"
-        rep = verify_rigor(_symmetry_for(args), args.k, variant, **caps)
-        return _emit([rep], args.format, out)
 
-    sym = _symmetry_for(args)
-    ctx = RewriteContext(sym, **caps)
-    alpha = None
-    if args.alpha is not None:
-        try:
-            alpha = sym.q_config.parse(args.alpha)
-        except ScalarError as e:
-            raise ConfigError("bad --alpha: %s" % (e,))
+def _ctx(args):
+    return RewriteContext(_symmetry_for(args), **_caps())
 
-    if ident in ("th", "th-s"):
-        variant = "column" if ident == "th" else "row"
-        rep = verify_matrix_identity(ctx, args.k, variant, alpha=alpha)
-    elif ident in ("cap-as", "cap-s"):
-        variant = "column" if ident == "cap-as" else "row"
-        rep = verify_traced(ctx, args.k, variant)
-    elif ident == "cap1":
-        rep = verify_cap1(ctx)
-    elif ident == "mre":
-        rep = verify_mre(ctx)
-    elif ident == "re-ideal":
-        rep = verify_re_ideal(ctx)
-    elif ident == "consum":
-        rep = verify_consum(ctx, args.k)
-    elif ident == "h-copy":
-        rep = verify_h_copy(ctx, args.p)
-    elif ident == "exchange-general":
-        rep = verify_exchange_general(ctx, args.p, args.k)
-    elif ident == "shift-scan":
-        if alpha is not None:
-            rep = verify_matrix_identity(ctx, args.k, "column", alpha=alpha,
-                                         identity="shift-scan")
-        else:
-            rep = verify_shift_scan(ctx, args.k)
-    else:
-        raise ConfigError("unhandled identity %r" % (ident,))
-    return _emit([rep], args.format, out)
+
+def _alpha(args, sym):
+    if args.alpha is None:
+        return None
+    try:
+        return sym.q_config.parse(args.alpha)
+    except ScalarError as e:
+        raise ConfigError("bad --alpha: %s" % (e,))
+
+
+def _projector(variant):
+    def run(args):
+        if args.rigor:
+            if args.alpha is not None:
+                raise ConfigError("--alpha does not apply with --rigor")
+            return verify_rigor(_symmetry_for(args), args.k, variant,
+                                **_caps())
+        ctx = _ctx(args)
+        return verify_matrix_identity(ctx, args.k, variant,
+                                      alpha=_alpha(args, ctx.sym))
+    return run
+
+
+def _shift_scan(args):
+    ctx = _ctx(args)
+    if args.alpha is None:
+        return verify_shift_scan(ctx, args.k)
+    return verify_matrix_identity(ctx, args.k, "column",
+                                  alpha=_alpha(args, ctx.sym),
+                                  identity="shift-scan")
+
+
+# The symmetry flags --rmatrix and --q, and the defaults of every flag an
+# identity may read; --N is read by all.
+SYMMETRY = ("rmatrix", "q")
+DEFAULTS = {"rmatrix": "dj", "q": "symbolic", "k": 2, "p": 1}
+
+# identity -> (the flags it reads, its verifier on the parsed arguments).
+# The verifiers name verify_* at call time, so a replaced module
+# attribute is the one that runs.
+IDENTITIES = {
+    "th": (SYMMETRY + ("k", "alpha", "rigor"), _projector("column")),
+    "th-s": (SYMMETRY + ("k", "alpha", "rigor"), _projector("row")),
+    "cap-as": (SYMMETRY + ("k",),
+               lambda a: verify_traced(_ctx(a), a.k, "column")),
+    "cap-s": (SYMMETRY + ("k",), lambda a: verify_traced(_ctx(a), a.k, "row")),
+    "cap1": (SYMMETRY, lambda a: verify_cap1(_ctx(a))),
+    "mre": (SYMMETRY, lambda a: verify_mre(_ctx(a))),
+    "re-ideal": (SYMMETRY, lambda a: verify_re_ideal(_ctx(a))),
+    "consum": (SYMMETRY + ("k",), lambda a: verify_consum(_ctx(a), a.k)),
+    "h-copy": (SYMMETRY + ("p",), lambda a: verify_h_copy(_ctx(a), a.p)),
+    "exchange-general": (SYMMETRY + ("p", "k"),
+                         lambda a: verify_exchange_general(_ctx(a), a.p,
+                                                           a.k)),
+    "shift-scan": (SYMMETRY + ("k", "alpha"), _shift_scan),
+    "classical": ((), lambda a: verify_classical(a.N)),
+}
+
+
+def _apply_defaults(args):
+    for flag, value in DEFAULTS.items():
+        if getattr(args, flag, value) is None:
+            setattr(args, flag, value)
+
+
+def _run_verify(args, out):
+    reads, verifier = IDENTITIES[args.identity]
+    for flag in sorted({f for fs, _ in IDENTITIES.values() for f in fs}):
+        if getattr(args, flag) not in (None, False) and flag not in reads:
+            raise ConfigError("--%s does not apply to %s, which reads --%s"
+                              % (flag, args.identity,
+                                 ", --".join(("N",) + reads)))
+    _apply_defaults(args)
+    return _emit([verifier(args)], args.format, out)
 
 
 def _run_validate(args, out):
+    _apply_defaults(args)
     try:
         sym = _symmetry_for(args)
     except CatalogValidationError as e:
@@ -236,6 +259,8 @@ def _run_suite(args, out):
     if args.name not in ("smoke", "full"):
         raise ConfigError("unknown suite %r (expected smoke or full)"
                           % (args.name,))
+    if args.stretch and args.name != "full":
+        raise ConfigError("--stretch applies to suite full only")
     if args.format == "structured":
         lines = []
         ok, results = suites.run_suite(args.name, stretch=args.stretch,
@@ -262,12 +287,30 @@ def main(argv=None, out=None):
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_PASS
     try:
+        code = _run(args, out)
+        if out is sys.stdout:
+            # a buffered verdict is only delivered once it is flushed
+            out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the output: no verdict was delivered, and
+        # nothing more can be written; on the real stdout, the flush at
+        # interpreter exit goes to devnull instead
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_INTERNAL
+
+
+def _run(args, out):
+    try:
         if args.command == "verify":
             ok = _run_verify(args, out)
         elif args.command == "validate":
             ok = _run_validate(args, out)
         else:
             ok = _run_suite(args, out)
+    except BrokenPipeError:
+        raise
     except ConfigError as e:
         out.write("configuration error: %s\n" % (e,))
         return EXIT_CONFIG

@@ -120,9 +120,6 @@ class NCPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def constant(self):
-        return self.terms.get("", 0)
-
     def __repr__(self):
         if not self.terms:
             return "NCPoly(0)"

@@ -158,14 +158,15 @@ def flip(N):
     return validate_symmetry(R, cfg, "flip(%d)" % N)
 
 
-def load(path, name=None):
+def load(path):
     """Read a symmetry from a JSON record:
 
     {"N": 2, "q": "symbolic" or "a/b",
      "entries": [{"i":1,"j":1,"k":1,"l":1,"value":"q"}, ...]}
 
     Entries are 1-based components of R^{ij}_{kl}; the composite row index
-    is (i-1)N + j; omitted entries are zero.
+    is (i-1)N + j; omitted entries are zero.  The symmetry is named
+    file:<base name of path>.
     """
     with open(path) as fh:
         try:
@@ -201,6 +202,4 @@ def load(path, name=None):
                                "1..%d in %r" % (path, N, ent))
         R.rows[(i - 1) * N + (j - 1)][(k - 1) * N + (l - 1)] = \
             parse_scalar(str(value), cfg)
-    if name is None:
-        name = "file:%s" % (os.path.basename(path),)
-    return validate_symmetry(R, cfg, name)
+    return validate_symmetry(R, cfg, "file:%s" % (os.path.basename(path),))

@@ -299,26 +299,6 @@ class CompletedSystem(Rewriter):
         self.degree = degree
         self.stats = stats
 
-    def count_irreducible(self, max_len, alphabet):
-        """Number of irreducible words of each length 0..max_len."""
-        counts = [1]
-        frontier = [""]
-        for _ in range(max_len):
-            nxt = []
-            for w in frontier:
-                for ch in alphabet:
-                    nw = w + ch
-                    bad = False
-                    for L in self.lengths:
-                        if L <= len(nw) and nw[-L:] in self.rules:
-                            bad = True
-                            break
-                    if not bad:
-                        nxt.append(nw)
-            counts.append(len(nxt))
-            frontier = nxt
-        return counts
-
 
 def _spoly(rules, w, u, v, offset):
     """Difference of the two reductions of the ambiguity word w, where w

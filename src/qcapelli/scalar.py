@@ -154,13 +154,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.offset, self.coeffs))
 
-    def reciprocal_q(self):
-        """The polynomial with q replaced by q^(-1)."""
-        if not self.coeffs:
-            return self
-        return LaurentPoly._raw(-(self.offset + len(self.coeffs) - 1),
-                                list(reversed(self.coeffs)))
-
     def eval(self, q0):
         q0 = Fraction(q0)
         if not q0:

@@ -78,7 +78,7 @@ def test_criterion_12_multi_point_proof():
 @pytest.mark.skipif(not os.environ.get("QCAPELLI_STRETCH"),
                     reason="large non-gating job; set QCAPELLI_STRETCH=1")
 def test_criterion_06_stretch_rank_three_top():
-    res = suites.crit_6(stretch=True)
+    res = suites.stretch_job()
     print(res.line())
     assert res.ok
     assert res.seconds < 3600

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,12 +55,69 @@ def test_structured_record_fields():
     assert record["details"]["projector_rank"] == 1
 
 
-@pytest.mark.parametrize("ident", ["cap-as", "cap-s", "cap1", "mre",
-                                   "re-ideal", "consum", "h-copy",
-                                   "classical"])
+# each identity with only the flags it reads
+FLAGS_READ = {
+    "cap-as": ["--k", "2"],
+    "cap-s": ["--k", "2"],
+    "cap1": [],
+    "mre": [],
+    "re-ideal": [],
+    "consum": ["--k", "2"],
+    "h-copy": ["--p", "1"],
+    "classical": [],
+}
+
+
+@pytest.mark.parametrize("ident", list(FLAGS_READ))
 def test_each_identity_passes(ident):
-    code, _ = run(["verify", "--identity", ident, "--k", "2"])
-    assert code == EXIT_PASS
+    code, text = run(["verify", "--identity", ident] + FLAGS_READ[ident])
+    assert code == EXIT_PASS, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "mre", "--k", "9", "--p", "7"],
+    ["verify", "--identity", "cap1", "--k", "5"],
+    ["verify", "--identity", "th", "--p", "5"],
+    ["verify", "--identity", "classical", "--q", "3/5"],
+    ["verify", "--identity", "classical", "--rmatrix", "flip"],
+    ["suite", "smoke", "--stretch"],
+])
+def test_flag_the_identity_does_not_read_is_config_error(argv):
+    code, text = run(argv)
+    assert code == EXIT_CONFIG, text
+    assert text.startswith("configuration error"), text
+
+
+def test_closed_output_is_not_a_verdict():
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    for argv in (["verify", "--identity", "shift-scan", "--alpha", "1"],
+                 ["verify", "--identity", "mre", "--k", "9"]):
+        assert main(argv, out=Closed()) == EXIT_INTERNAL
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    """A reader gone before the verdict: exit 4 and no traceback, whether
+    the verdict is written at once or only at the flush."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcapelli.cli", "verify", "--identity",
+             "mre"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INTERNAL, proc.stderr
+    assert proc.stderr == b""
 
 
 def test_exchange_general_positions():
@@ -282,7 +342,7 @@ def test_out_of_range_parameters_are_config_errors(argv):
     assert text.startswith("configuration error"), text
 
 
-def test_rigor_parallel_points():
+def test_rigor_points_cover_the_degree_bound():
     code, text = run(["verify", "--identity", "th", "--k", "2",
                       "--rigor", "--format", "structured"])
     assert code == EXIT_PASS

@@ -38,8 +38,30 @@ class ConfigError(ScalarError):
     pass
 
 
+def _coef(c):
+    """c as a stored coefficient: an int, or a Fraction that is not an
+    integer.  Floats are refused, since a binary float is not the rational
+    number its decimal text shows."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise ScalarError("a coefficient must be an int or a Fraction, not %r"
+                      % (c,))
+
+
+def _quo(a, b):
+    # exact quotient of two stored coefficients, never a float
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def _trim(offset, coeffs):
-    # strip zero coefficients from both ends, adjusting the offset
+    # strip zero coefficients from both ends, adjusting the offset, and
+    # store integral Fractions as ints
     lo = 0
     hi = len(coeffs)
     while lo < hi and not coeffs[lo]:
@@ -48,21 +70,26 @@ def _trim(offset, coeffs):
         hi -= 1
     if lo == hi:
         return 0, ()
-    return offset + lo, tuple(coeffs[lo:hi])
+    t = tuple(coeffs[lo:hi])
+    if Fraction in map(type, t):
+        t = tuple([c if type(c) is int or c.denominator != 1 else c.numerator
+                   for c in t])
+    return offset + lo, t
 
 
 class LaurentPoly:
-    """Laurent polynomial in q with Fraction coefficients.
+    """Laurent polynomial in q with rational coefficients.
 
     Stored as an exponent offset plus a dense coefficient tuple whose first
     and last entries are nonzero (the zero polynomial is offset 0, empty
-    tuple), so equal polynomials are structurally equal.
+    tuple).  A coefficient is an int when it is an integer and a Fraction
+    otherwise, so equal polynomials are structurally equal.
     """
 
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, offset=0, coeffs=()):
-        self.offset, self.coeffs = _trim(offset, [Fraction(c) for c in coeffs])
+        self.offset, self.coeffs = _trim(offset, [_coef(c) for c in coeffs])
 
     @classmethod
     def _raw(cls, offset, coeffs):
@@ -72,11 +99,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        return cls(0, (Fraction(c),))
+        return cls(0, (c,))
 
     @classmethod
     def q_power(cls, n):
-        return cls(n, (Fraction(1),))
+        return cls._raw(n, (1,))
 
     def is_zero(self):
         return not self.coeffs
@@ -97,9 +124,11 @@ class LaurentPoly:
         return self.offset + len(self.coeffs) - 1
 
     def shift(self, k):
-        if not self.coeffs:
+        if not k or not self.coeffs:
             return self
-        return LaurentPoly._raw(self.offset + k, list(self.coeffs))
+        p = object.__new__(LaurentPoly)
+        p.offset, p.coeffs = self.offset + k, self.coeffs
+        return p
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -110,11 +139,11 @@ class LaurentPoly:
             return self
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        acc = [Fraction(0)] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            acc[self.offset - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            acc[other.offset - lo + i] += c
+        acc = [0] * (hi - lo)
+        for i, c in enumerate(self.coeffs, self.offset - lo):
+            acc[i] = c
+        for i, c in enumerate(other.coeffs, other.offset - lo):
+            acc[i] += c
         return LaurentPoly._raw(lo, acc)
 
     def __neg__(self):
@@ -126,22 +155,22 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            f = _coef(other)
             if not f:
                 return _LZERO
             return LaurentPoly._raw(self.offset, [c * f for c in self.coeffs])
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         if not self.coeffs or not other.coeffs:
             return _LZERO
-        acc = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        acc = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs, i):
                 if b:
-                    acc[i + j] += a * b
+                    acc[j] += a * b
         return LaurentPoly._raw(self.offset + other.offset, acc)
 
     __rmul__ = __mul__
@@ -175,18 +204,16 @@ _LONE = LaurentPoly.const(1)
 def _poly_divmod(a, b):
     # ordinary polynomial division; both operands must have offset >= 0
     assert b.coeffs and b.offset >= 0 and (not a.coeffs or a.offset >= 0)
-    ra = [Fraction(0)] * (a.offset + len(a.coeffs)) if a.coeffs else []
-    for i, c in enumerate(a.coeffs):
-        ra[a.offset + i] = c
-    rb = [Fraction(0)] * (b.offset + len(b.coeffs))
-    for i, c in enumerate(b.coeffs):
-        rb[b.offset + i] = c
+    ra = [0] * (a.offset + len(a.coeffs)) if a.coeffs else []
+    for i, c in enumerate(a.coeffs, a.offset):
+        ra[i] = c
+    rb = [0] * b.offset + list(b.coeffs)
     db = len(rb) - 1
     lead = rb[db]
-    quot = [Fraction(0)] * max(len(ra) - db, 0)
+    quot = [0] * max(len(ra) - db, 0)
     while len(ra) - 1 >= db and ra:
         da = len(ra) - 1
-        f = ra[da] / lead
+        f = ra[da] if lead == 1 else _quo(ra[da], lead)
         quot[da - db] = f
         for i in range(db + 1):
             ra[da - db + i] -= f * rb[i]
@@ -202,8 +229,32 @@ def _poly_gcd(a, b):
         a, b = b, r
     lc = a.coeffs[-1]
     if lc != 1:
-        a = a * (1 / lc)
+        a = a * _quo(1, lc)
     return a
+
+
+def _den_gcd(a, d):
+    """The monic gcd of a Laurent polynomial a and an ordinary polynomial d
+    with nonzero constant term, or None when it is 1.  Powers of q divide
+    no such d, so a is first shifted to an ordinary polynomial; a monomial
+    or a constant shares no factor with d."""
+    if len(a.coeffs) == 1 or len(d.coeffs) == 1:
+        return None
+    g = _poly_gcd(a.shift(-a.offset), d)
+    return None if len(g.coeffs) == 1 else g
+
+
+def _exquo(a, g):
+    # a / g for a Laurent polynomial a and a divisor g of it from _den_gcd
+    quot, _ = _poly_divmod(a.shift(-a.offset), g)
+    return quot.shift(a.offset)
+
+
+def _ratq(num, den):
+    # a RatQ from parts already in canonical form
+    r = object.__new__(RatQ)
+    r.num, r.den = num, den
+    return r
 
 
 class RatQ:
@@ -213,16 +264,21 @@ class RatQ:
     monic, and coprime to the numerator (any overall power of q is carried
     by the numerator), so two equal rational functions are structurally
     equal.  Zero is 0/1.
+
+    The constructor reaches this form through a polynomial gcd.  The
+    arithmetic keeps it with gcds only where a factor can cancel: none when
+    an operand is zero or an int or both denominators are 1, one against
+    the common denominator when the two are equal, and otherwise Henrici's
+    cross-cancellation (Knuth, TAOCP 2, 4.5.1), whose sum is already
+    canonical when gcd(b, d) = 1.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+    def __init__(self, num, den=1):
+        if not isinstance(num, LaurentPoly):
             num = LaurentPoly.const(num)
-        if den is None:
-            den = _LONE
-        elif isinstance(den, (int, Fraction)):
+        if not isinstance(den, LaurentPoly):
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -232,12 +288,12 @@ class RatQ:
         a, b = num.min_exp, den.min_exp
         n0, d0 = num.shift(-a), den.shift(-b)
         g = _poly_gcd(n0, d0)
-        if g.coeffs and (len(g.coeffs) > 1 or g.coeffs[0] != 1):
+        if len(g.coeffs) > 1:
             n0, _ = _poly_divmod(n0, g)
             d0, _ = _poly_divmod(d0, g)
         lc = d0.coeffs[-1]
         if lc != 1:
-            inv = 1 / lc
+            inv = _quo(1, lc)
             n0 = n0 * inv
             d0 = d0 * inv
         self.num = n0.shift(a - b)
@@ -245,7 +301,7 @@ class RatQ:
 
     @classmethod
     def q_power(cls, n):
-        return cls(LaurentPoly.q_power(n))
+        return _ratq(LaurentPoly.q_power(n), _LONE)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -257,7 +313,9 @@ class RatQ:
         if isinstance(other, RatQ):
             return other
         if isinstance(other, int):
-            return RatQ(other)
+            if not other:
+                return _ZERO
+            return _ratq(LaurentPoly._raw(0, (int(other),)), _LONE)
         if isinstance(other, Fraction):
             raise BackendMismatch(
                 "cannot combine a fixed-backend Fraction with a symbolic scalar")
@@ -267,15 +325,35 @@ class RatQ:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatQ(self.num * other.den + other.num * self.den,
-                    self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not c.coeffs:
+            return self
+        if not a.coeffs:
+            return other
+        if b == d:
+            t = a + c
+            if not t.coeffs:
+                return _ZERO
+            g = _den_gcd(t, b)
+            if g is None:
+                return _ratq(t, b)
+            return _ratq(_exquo(t, g), _exquo(b, g))
+        # b != d, so the canonical forms of a/b and -c/d differ and the
+        # sum is nonzero
+        g = _den_gcd(b, d)
+        if g is None:
+            return _ratq(a * d + c * b, b * d)
+        b1 = _exquo(b, g)
+        t = a * _exquo(d, g) + c * b1
+        g2 = _den_gcd(t, g)
+        if g2 is None:
+            return _ratq(t, b1 * d)
+        return _ratq(_exquo(t, g2), b1 * _exquo(d, g2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = object.__new__(RatQ)
-        r.num, r.den = -self.num, self.den
-        return r
+        return _ratq(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -290,33 +368,46 @@ class RatQ:
         return other + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            if not other:
+                return _ZERO
+            return _ratq(self.num * other, self.den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatQ(self.num * other.num, self.den * other.den)
+        return _times(self, other)
 
     __rmul__ = __mul__
+
+    def _inverse(self):
+        c = self.num
+        if not c.coeffs:
+            raise ZeroDivisionError("division by zero scalar")
+        c0, d = c.shift(-c.offset), self.den.shift(-c.offset)
+        lc = c0.coeffs[-1]
+        if lc != 1:
+            inv = _quo(1, lc)
+            c0, d = c0 * inv, d * inv
+        return _ratq(d, c0)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        return RatQ(self.num * other.den, self.den * other.num)
+        return _times(self, other._inverse())
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other / self
+        return _times(other, self._inverse())
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (RatQ(1) / self) ** (-n)
-        acc = RatQ(1)
+            return self._inverse() ** (-n)
+        acc = _ONE
         base = self
         while n:
             if n & 1:
@@ -336,7 +427,11 @@ class RatQ:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes as its coefficient, so RatQ(n) and n hash alike
+        n = self.num
+        if len(self.den.coeffs) == 1 and not n.offset and len(n.coeffs) < 2:
+            return hash(n.coeffs[0]) if n.coeffs else 0
+        return hash((n, self.den))
 
     def eval_at(self, q0):
         q0 = Fraction(q0)
@@ -349,6 +444,26 @@ class RatQ:
 
     def __repr__(self):
         return "RatQ(%r)" % (scalar_to_text(self),)
+
+
+def _times(x, y):
+    # product of two canonical RatQs by Henrici's cross-cancellation:
+    # (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)), g1 = gcd(a, d),
+    # g2 = gcd(c, b)
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if not a.coeffs or not c.coeffs:
+        return _ZERO
+    g1 = _den_gcd(a, d)
+    if g1 is not None:
+        a, d = _exquo(a, g1), _exquo(d, g1)
+    g2 = _den_gcd(c, b)
+    if g2 is not None:
+        c, b = _exquo(c, g2), _exquo(b, g2)
+    return _ratq(a * c, b * d)
+
+
+_ZERO = _ratq(_LZERO, _LONE)
+_ONE = _ratq(_LONE, _LONE)
 
 
 class QConfig:
@@ -366,6 +481,9 @@ class QConfig:
         if mode == "fixed":
             if q_value is None:
                 raise ConfigError("fixed mode needs a rational q")
+            if isinstance(q_value, float):
+                raise ConfigError("fixed q must be exact, not the float %r"
+                                  % (q_value,))
             q_value = Fraction(q_value)
             if q_value == 0 or q_value == -1 or (q_value == 1 and not allow_unit):
                 raise ConfigError("fixed q must avoid 0 and +/-1 (got %s)" % (q_value,))
@@ -418,10 +536,7 @@ class QConfig:
             return acc
         if k == 0:
             return RatQ(0)
-        coeffs = []
-        for e in range(1 - k, k):
-            coeffs.append(Fraction(1) if (e - (1 - k)) % 2 == 0 else Fraction(0))
-        return RatQ(LaurentPoly(1 - k, coeffs))
+        return RatQ(LaurentPoly(1 - k, [1 - i % 2 for i in range(2 * k - 1)]))
 
     def parse(self, text):
         return parse_scalar(text, self)
@@ -431,7 +546,7 @@ def inv(a):
     if is_zero(a):
         raise ZeroDivisionError("inverse of zero scalar")
     if isinstance(a, RatQ):
-        return RatQ(1) / a
+        return a._inverse()
     if isinstance(a, int):
         # keep +/-1 backend-neutral so mixed matrices stay pure
         return a if a in (1, -1) else Fraction(1, a)

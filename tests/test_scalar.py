@@ -9,8 +9,10 @@ from qcapelli.scalar import (
     PoleError,
     QConfig,
     RatQ,
+    ScalarError,
     ScalarParseError,
     ConfigError,
+    _poly_gcd,
     inv,
     is_zero,
     parse_scalar,
@@ -199,3 +201,111 @@ def test_scalar_text_examples():
     assert scalar_to_text(Fraction(-3, 7)) == "-3/7"
     s = RatQ(1) / (sym.q() - 1)
     assert scalar_to_text(s) == "(1)/(q - 1)"
+
+
+def test_hash_agrees_with_int_equality():
+    assert RatQ(1) == 1
+    assert len({RatQ(1), 1}) == 1
+    for n in (0, 1, -1, 7, -12, 2 ** 70):
+        assert RatQ(n) == n and hash(RatQ(n)) == hash(n)
+        assert {n: "int"}[RatQ(n)] == "int"
+    sym = QConfig.symbolic()
+    assert sym.qnum(3) / sym.qnum(3) == 1
+    assert hash(sym.qnum(3) / sym.qnum(3)) == hash(1)
+    assert hash(sym.q() - sym.q()) == hash(0)
+
+
+def test_floats_are_refused():
+    with pytest.raises(ScalarError):
+        LaurentPoly(0, [0.1])
+    with pytest.raises(ScalarError):
+        LaurentPoly.const(0.5)
+    with pytest.raises(ScalarError):
+        QConfig.fixed(0.1)
+    with pytest.raises(ScalarError):
+        RatQ(0.5)
+    with pytest.raises(ScalarError):
+        RatQ(LaurentPoly.q_power(1), 2.0)
+    with pytest.raises(TypeError):
+        LaurentPoly.q_power(1) * 0.5
+    # exact inputs of the same values are fine, and integers are stored as int
+    assert LaurentPoly(0, [Fraction(1, 10)]).coeffs == (Fraction(1, 10),)
+    assert type(LaurentPoly(0, [Fraction(4, 2)]).coeffs[0]) is int
+    assert QConfig.fixed("1/10").q_value == Fraction(1, 10)
+    assert RatQ(Fraction(1, 2)) * 2 == 1
+
+
+def assert_canonical(r):
+    """The canonical form of a RatQ: the denominator has offset 0, is monic
+    with a nonzero constant term and is coprime to the numerator; every
+    coefficient is an int or a Fraction that is not an integer."""
+    assert isinstance(r, RatQ)
+    for p in (r.num, r.den):
+        for c in p.coeffs:
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1), p
+    if r.num.is_zero():
+        assert r.num.offset == 0 and r.den.coeffs == (1,) and r.den.offset == 0
+        return
+    assert r.den.offset == 0 and r.den.coeffs[-1] == 1 and r.den.coeffs[0]
+    n0 = LaurentPoly(0, r.num.coeffs)
+    assert _poly_gcd(n0, r.den).coeffs == (1,)
+
+
+def scalar_pool(rng):
+    """Operands of every kind the arithmetic treats apart: zero, ints,
+    denominator 1, one shared denominator, coprime denominators, and
+    denominators with a common factor such as [2]_q and [2]_q [3]_q."""
+    sym = QConfig.symbolic()
+    q2, q3 = sym.qnum(2), sym.qnum(3)
+    dens = [LaurentPoly.const(1), q2.num, (q2 * q3).num, q3.num,
+            LaurentPoly(0, [3, 2]), LaurentPoly(0, [1, -1]),
+            LaurentPoly(0, [-1, 0, 1]), LaurentPoly(0, [Fraction(1, 2), 1])]
+
+    def num():
+        coeffs = [rng.choice((rng.randint(-3, 3), rand_fraction(rng, 4)))
+                  for _ in range(rng.randint(1, 4))]
+        return LaurentPoly(rng.randint(-2, 2), coeffs)
+
+    pool = [0, 1, -2, 5, RatQ(0), RatQ(3), RatQ(Fraction(-1, 2)), q2, q3,
+            RatQ(1) / q2, RatQ(1) / (q2 * q3), q3 / q2]
+    for den in dens:
+        for _ in range(3):
+            pool.append(RatQ(num(), den))
+    return pool
+
+
+def test_arithmetic_matches_the_general_constructor():
+    rng = random.Random(19)
+    pool = scalar_pool(rng)
+
+    def parts(x):
+        x = x if isinstance(x, RatQ) else RatQ(x)
+        return x.num, x.den
+
+    for x in pool:
+        for y in pool:
+            if not (isinstance(x, RatQ) or isinstance(y, RatQ)):
+                continue
+            (a, b), (c, d) = parts(x), parts(y)
+            expected = [(x + y, RatQ(a * d + c * b, b * d)),
+                        (x - y, RatQ(a * d - c * b, b * d)),
+                        (x * y, RatQ(a * c, b * d))]
+            if c.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            else:
+                expected.append((x / y, RatQ(a * d, b * c)))
+            for got, ref in expected:
+                assert_canonical(got)
+                assert got == ref and hash(got) == hash(ref)
+        if isinstance(x, RatQ) and not x.is_zero():
+            for n in (-3, -1, 0, 2, 3):
+                got = x ** n
+                assert_canonical(got)
+                ref = RatQ(1)
+                for _ in range(abs(n)):
+                    ref = RatQ(ref.num * x.num, ref.den * x.den)
+                if n < 0:
+                    ref = RatQ(ref.den, ref.num)
+                assert got == ref and hash(got) == hash(ref)

@@ -100,12 +100,18 @@ class RewriteContext:
             self._table = derive_exchange(self.sym)
         return self._table
 
-    def system(self, kind, degree):
+    def capped(self, degree):
+        """The completion degree (at least 2) for words of the given
+        degree; DegreeCapError when it exceeds the cap."""
         degree = max(degree, 2)
         if degree > self.max_degree:
             raise DegreeCapError(
                 "requested completion degree %d exceeds the cap %d"
                 % (degree, self.max_degree))
+        return degree
+
+    def system(self, kind, degree):
+        degree = self.capped(degree)
         got = self._systems.get(kind)
         if got is None or got.degree < degree:
             derive = derive_re_rules if kind == "m" else derive_dd_rules
@@ -310,13 +316,13 @@ def _lift(u, block, N, k):
     return QMatrix(N, k, rows_times(urows, block, N ** k))
 
 
-def verify_matrix_identity(ctx, k, variant="column", alpha=None,
-                           identity=None):
+def verify_matrix_identity(ctx, k, variant="column", alpha=None):
     """Entrywise reduction of E.(LHS - RHS), the r x dim row block of the
     factorization identity, one row of E at a time: each row goes through
     both sides, and its difference is reduced and dropped before the next
     row.  details["projector_rank"] is r."""
     sym = ctx.sym
+    ctx.capped(k)
     t0 = time.perf_counter()
     ident = ProjectorIdentity(sym, k, variant, alpha)
     build = time.perf_counter() - t0
@@ -331,12 +337,11 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None,
 
     residuals, sample = _reduce_matrix(ctx, diff_rows(), k)
     total = time.perf_counter() - t0
-    name = identity or ("th" if variant == "column" else "th-s")
     params = {"N": sym.N, "k": k, "variant": variant}
     if alpha is not None:
         params["alpha"] = scalar_to_text(alpha)
-    return _report(ctx, name, params, residuals, sample,
-                   _timings(build, total - build),
+    return _report(ctx, "th" if variant == "column" else "th-s", params,
+                   residuals, sample, _timings(build, total - build),
                    {"projector_rank": len(ident.u)})
 
 
@@ -344,6 +349,7 @@ def verify_traced(ctx, k, variant="column"):
     """R-trace over all k legs of P.(LHS - RHS), contracted on the rows of
     E one at a time, then one scalar reduction."""
     sym = ctx.sym
+    ctx.capped(k)
     t0 = time.perf_counter()
     ident = ProjectorIdentity(sym, k, variant)
     traced = 0
@@ -610,8 +616,7 @@ def verify_shift_scan(ctx, k):
     outcomes = []
     ok = True
     for alpha in (cfg.zero(), cfg.one(), cfg.qpow(2)):
-        rep = verify_matrix_identity(ctx, k, "column", alpha=alpha,
-                                     identity="shift-scan")
+        rep = verify_matrix_identity(ctx, k, "column", alpha=alpha)
         wrong_killed = rep.passed() and alpha != correct
         outcomes.append({"alpha": scalar_to_text(alpha),
                          "residuals": rep.residual_entries})
@@ -761,6 +766,7 @@ def rigor_bound(sym, k, variant="column", rule_cap=4000, max_degree=12):
     if sym.q_config.mode != "symbolic":
         raise VerifyError("rigor bound requires the symbolic backend")
     ctx = RewriteContext(sym, rule_cap, max_degree)
+    ctx.capped(k)
     ident = ProjectorIdentity(sym, k, variant)
     # both sides in canonical form, lifted to P.side = U.(E.side)
     lhs, rhs = (_lift(ident.u, side, sym.N, k).rows

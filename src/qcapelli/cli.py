@@ -87,7 +87,7 @@ def _build_parser():
                      choices=("text", "structured"))
 
     sui = sub.add_parser("suite", help="run a named verification suite")
-    sui.add_argument("name", help="smoke | full")
+    sui.add_argument("name", help="full")
     sui.add_argument("--stretch", action="store_true",
                      help="append the non-gating large job")
     sui.add_argument("--format", default="text",
@@ -175,15 +175,6 @@ def _projector(variant):
     return run
 
 
-def _shift_scan(args):
-    ctx = _ctx(args)
-    if args.alpha is None:
-        return verify_shift_scan(ctx, args.k)
-    return verify_matrix_identity(ctx, args.k, "column",
-                                  alpha=_alpha(args, ctx.sym),
-                                  identity="shift-scan")
-
-
 # The symmetry flags --rmatrix and --q, and the defaults of every flag an
 # identity may read; --N is read by all.
 SYMMETRY = ("rmatrix", "q")
@@ -206,7 +197,8 @@ IDENTITIES = {
     "exchange-general": (SYMMETRY + ("p", "k"),
                          lambda a: verify_exchange_general(_ctx(a), a.p,
                                                            a.k)),
-    "shift-scan": (SYMMETRY + ("k", "alpha"), _shift_scan),
+    "shift-scan": (SYMMETRY + ("k",),
+                   lambda a: verify_shift_scan(_ctx(a), a.k)),
     "classical": ((), lambda a: verify_classical(a.N)),
 }
 
@@ -256,15 +248,11 @@ def _run_validate(args, out):
 def _run_suite(args, out):
     from . import suites
 
-    if args.name not in ("smoke", "full"):
-        raise ConfigError("unknown suite %r (expected smoke or full)"
-                          % (args.name,))
-    if args.stretch and args.name != "full":
-        raise ConfigError("--stretch applies to suite full only")
+    if args.name != "full":
+        raise ConfigError("unknown suite %r (expected full)" % (args.name,))
     if args.format == "structured":
-        lines = []
-        ok, results = suites.run_suite(args.name, stretch=args.stretch,
-                                       emit=lines.append)
+        ok, results = suites.run_suite(stretch=args.stretch,
+                                       emit=lambda line: None)
         for res in results:
             for rep in res.reports:
                 out.write(json.dumps(rep.to_record(), sort_keys=True) + "\n")
@@ -274,7 +262,7 @@ def _run_suite(args, out):
                 "checks": len(res.checks),
                 "seconds": round(res.seconds, 3)}, sort_keys=True) + "\n")
         return ok
-    ok, _ = suites.run_suite(args.name, stretch=args.stretch,
+    ok, _ = suites.run_suite(stretch=args.stretch,
                              emit=lambda s: out.write(s + "\n"))
     return ok
 

@@ -11,8 +11,8 @@ This module alone works on tensor legs: embed places any operator on
 any run of consecutive legs, trace_weight builds C^(x)k from it, and
 r_trace is the one full R-trace, Tr(X.C^(x)p).
 The one exact elimination, echelon, needs scalar entries; the inverse,
-the rank and the rank factorization P = U.E of a projector
-(rank_factor) are read off it.
+the rank, the rank factorization P = U.E of a projector (rank_factor)
+and the degree-2 rule tables of rewrite are read off it.
 
 The q-antisymmetrizer and q-symmetrizer towers grow one level at a time
 by tower_step; their holder (rcatalog.HeckeSymmetry) keeps the levels.

@@ -2,14 +2,12 @@
 
 Every rewrite goes through one class, Rewriter: oriented rules
 lhs -> {word: coeff} applied at the leftmost redex, with a per-word
-normal-form memo.  It serves four rule tables:
+normal-form memo.  It serves three rule tables:
 
 * the exchange table (derive_exchange), read once per symmetry off the
   skew inverse Psi, which solves the permutation relation
   D1 R M1 = R M1 R^(-1) D1 R^(-1) + I, moves every derivative letter
   right of every position letter (normal_order);
-* the row reduction of the quadratic relations (_rref_rules)
-  back-substitutes by rewriting each pivot row with the pivot rows;
 * completion (complete) reduces each new relation and interreduces the
   rules with a fresh Rewriter over the current rules;
 * the completed systems (CompletedSystem) of the position and derivative
@@ -27,7 +25,7 @@ from __future__ import annotations
 import heapq
 
 from .ncalg import NCPoly, d_char, gen_matrix, m_char, word_key
-from .qlinalg import embed
+from .qlinalg import echelon, embed
 from .scalar import inv as scalar_inv
 
 
@@ -220,39 +218,30 @@ def _orient(terms):
     return lead, {w: -c * piv for w, c in terms.items()}
 
 
-def _rref_rules(polys):
-    """Exact row reduction of homogeneous relation polynomials; returns
-    the oriented, interreduced rule dictionary lhs -> {word: coeff}.
-    Back-substitution rewrites every rule's tail by all the rules; the
-    reduced row-echelon form is unique, so the order is immaterial."""
-    rules = {}
-    for p in polys:
-        row = dict(p)
-        while row:
-            lead = max(row, key=word_key)
-            rhs = rules.get(lead)
-            if rhs is None:
-                lead, rhs = _orient(row)
-                rules[lead] = rhs
-                break
-            f = row.pop(lead)
-            for w, c in rhs.items():
-                _add(row, w, f * c)
-    system = Rewriter(rules)
-    return {lead: system.nf_terms(rhs) for lead, rhs in rules.items()}
-
-
-def _relation_polys(R, X1):
-    """Entries of R X1 R X1 - X1 R X1 R as coefficient dictionaries."""
-    diff = R * (X1 * R) * X1 - X1 * R * X1 * R
-    return [v.terms for row in diff.rows for v in row if v]
+def _relation_rows(braiding, x1):
+    """The entries of R X1 R X1 - X1 R X1 R as coefficient rows over their
+    words, which are sorted largest first: a row's first nonzero entry is
+    its leading word.  Returns (words, rows)."""
+    diff = braiding * (x1 * braiding) * x1 - x1 * braiding * x1 * braiding
+    polys = [v.terms for row in diff.rows for v in row if v]
+    words = sorted({w for p in polys for w in p}, key=word_key, reverse=True)
+    return words, [[p.get(w, 0) for w in words] for p in polys]
 
 
 def _derive_rules(sym, kind):
+    """The degree-2 rule table, read off the reduced row-echelon form of
+    the relation rows: each row's pivot word rewrites to minus the rest of
+    its row (_orient's orientation).  No pivot word occurs in another row,
+    so the table is interreduced."""
     N = sym.N
     x1 = embed(gen_matrix(kind, N), 1, 2)
     braiding = sym.R if kind == "m" else sym.R_inv
-    rules = _rref_rules(_relation_polys(braiding, x1))
+    words, rows = _relation_rows(braiding, x1)
+    rules = {}
+    for row in echelon(rows):
+        piv = next(j for j, v in enumerate(row) if v)
+        rules[words[piv]] = {words[j]: -v for j, v in enumerate(row)
+                             if v and j != piv}
     cfg = sym.q_config
     if cfg.mode != "fixed" or cfg.allow_unit:
         return RuleSet(kind, rules)
@@ -266,7 +255,7 @@ def _derive_rules(sym, kind):
         if alt is None:
             return RuleSet(kind, rules, "skipped: no rebuilder")
         alt_braiding = alt.R if kind == "m" else alt.R_inv
-        alt_count = len(_rref_rules(_relation_polys(alt_braiding, x1)))
+        alt_count = len(echelon(_relation_rows(alt_braiding, x1)[1]))
         if base_count < alt_count:
             raise BadSpecializationError(
                 "bad specialization at q = %s: relation rank %d drops "

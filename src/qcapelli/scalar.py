@@ -618,16 +618,26 @@ class _Parser:
             if self.take("*"):
                 acc = acc * self.factor()
             elif self.take("/"):
-                acc = acc / self.factor()
+                self.skip_ws()
+                at = self.pos
+                divisor = self.factor()
+                if not divisor:
+                    raise ScalarParseError("division by zero", at)
+                acc = acc / divisor
             else:
                 return acc
 
     def factor(self):
         if self.take("-"):
             return -self.factor()
+        self.skip_ws()
+        at = self.pos
         base = self.atom()
         if self.take("^"):
-            return base ** self.exponent()
+            n = self.exponent()
+            if n < 0 and not base:
+                raise ScalarParseError("zero to a negative power", at)
+            return base ** n
         return base
 
     def atom(self):

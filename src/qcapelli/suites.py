@@ -145,15 +145,29 @@ def crit_2():
                        verify_consum(ctx, k))
 
 
+def _qbinom(cfg, n, k):
+    """The q-binomial coefficient [n choose k]_q, 0 for k > n."""
+    acc = cfg.one()
+    for i in range(1, k + 1):
+        acc = acc * cfg.qnum(n - k + i) / cfg.qnum(i)
+    return acc
+
+
 @criterion(3, "trace normalization")
 def crit_3():
-    """Weighted trace of the top projector equals q^(-m^2)."""
-    for label in ("dj2", "dj3q"):
+    """Quantum dimension of every tower level, k = 1 .. m+1 at rank m:
+    Tr_R A(k) = q^(-km)[m choose k]_q, which is 0 for k > m, and
+    Tr_R S(k) = q^(-km)[m+k-1 choose k]_q.  The plain trace (weight I)
+    fails Tr_R A(m) on dj(2) and dj(3) (the control in the tests)."""
+    for label in ("dj2", "dj3q", "flip2"):
         sym = _sym(label)
-        m = sym.rank
-        traced = sym.r_trace(sym.antisym(m))
-        yield ("%s <A(%d)> = q^(-%d)" % (sym.name, m, m * m),
-               traced == sym.q_config.qpow(-m * m))
+        cfg, m = sym.q_config, sym.rank
+        for k in range(1, m + 2):
+            for name, proj, n in (("A", sym.antisym(k), m),
+                                  ("S", sym.ssym(k), m + k - 1)):
+                yield ("%s Tr_R %s(%d)" % (sym.name, name, k),
+                       sym.r_trace(proj)
+                       == cfg.qpow(-k * m) * _qbinom(cfg, n, k))
 
 
 @criterion(4, "exchange round trip")
@@ -225,20 +239,6 @@ def crit_12():
     yield "dj(2) k=2 at %d points" % rep.details["points_checked"], rep
 
 
-@criterion(6, "matrix factorization identity (smoke)")
-def _smoke_6():
-    for label, ks in (("dj1", (1, 2)), ("dj2", (2,)), ("flip2", (2,))):
-        ctx = _ctx(label)
-        for k in ks:
-            yield ("%s k=%d" % (ctx.sym.name, k),
-                   verify_matrix_identity(ctx, k, "column"))
-
-
-@criterion(9, "composite matrix relation (smoke)")
-def _smoke_9():
-    yield "dj(2)", verify_mre(_ctx("dj2"))
-
-
 @criterion(6, "stretch: dj(3) and dj(4) k=3 (non-gating)")
 def stretch_job():
     """The large k=3 jobs: dj(3) in both variants and dj(4) column."""
@@ -250,15 +250,14 @@ def stretch_job():
 
 FULL = (crit_1, crit_2, crit_3, crit_4, crit_5, crit_6, crit_7, crit_8,
         crit_9, crit_10, crit_11, crit_12)
-SMOKE = (crit_1, crit_3, crit_4, _smoke_6, crit_7, _smoke_9, crit_11)
 
 
-def run_suite(which="full", stretch=False, emit=print):
-    """Run a named suite; returns (all_passed, results).  The stretch job
+def run_suite(stretch=False, emit=print):
+    """Run the full suite; returns (all_passed, results).  The stretch job
     is reported but never gates the outcome."""
     results = []
     ok = True
-    for fn in FULL if which == "full" else SMOKE:
+    for fn in FULL:
         res = fn()
         results.append(res)
         ok = ok and res.ok
@@ -267,7 +266,7 @@ def run_suite(which="full", stretch=False, emit=print):
             for name, good in res.checks:
                 if not good:
                     emit("      failed: %s" % name)
-    if stretch and which == "full":
+    if stretch:
         res = stretch_job()
         results.append(res)
         emit(res.line())

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from qcapelli import suites
+from qcapelli.qlinalg import QMatrix
 
 # Ten times the slowest of four runs of each criterion alone on a 2-core
 # VM (Python 3.11.7), rounded up to whole seconds, at least 5 s.
@@ -37,6 +38,19 @@ def test_criterion_02_projector_suite():
 
 def test_criterion_03_trace_normalization():
     _run(3, suites.crit_3)
+
+
+@pytest.mark.parametrize("label, top", [("dj2", "dj(2) Tr_R A(2)"),
+                                        ("dj3q", "dj(3) Tr_R A(3)")])
+def test_criterion_03_fails_under_the_plain_trace(monkeypatch, label, top):
+    # the control: weight I in place of C misses the top quantum dimension
+    sym = suites._sym(label)
+    monkeypatch.setattr(sym.skew, "c_matrix", QMatrix.identity(sym.N, 1))
+    res = suites.crit_3()
+    failed = [name for name, good in res.checks if not good]
+    assert not res.ok
+    assert top in failed
+    assert all(name.startswith(sym.name) for name in failed)
 
 
 def test_criterion_04_exchange_round_trip():

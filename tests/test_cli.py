@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -31,7 +32,7 @@ def test_verify_fixed_point():
 
 
 def test_wrong_alpha_fails():
-    code, text = run(["verify", "--identity", "shift-scan", "--alpha", "1"])
+    code, text = run(["verify", "--identity", "th", "--alpha", "1"])
     assert code == EXIT_FAIL
     assert "FAIL" in text
     assert "residual entries" in text
@@ -80,7 +81,8 @@ def test_each_identity_passes(ident):
     ["verify", "--identity", "th", "--p", "5"],
     ["verify", "--identity", "classical", "--q", "3/5"],
     ["verify", "--identity", "classical", "--rmatrix", "flip"],
-    ["suite", "smoke", "--stretch"],
+    ["suite", "smoke"],
+    ["verify", "--identity", "shift-scan", "--alpha", "1"],
 ])
 def test_flag_the_identity_does_not_read_is_config_error(argv):
     code, text = run(argv)
@@ -93,7 +95,7 @@ def test_closed_output_is_not_a_verdict():
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
 
-    for argv in (["verify", "--identity", "shift-scan", "--alpha", "1"],
+    for argv in (["verify", "--identity", "th", "--alpha", "1"],
                  ["verify", "--identity", "mre", "--k", "9"]):
         assert main(argv, out=Closed()) == EXIT_INTERNAL
 
@@ -192,14 +194,6 @@ def test_unknown_suite():
     assert "unknown suite" in text
 
 
-def test_smoke_suite():
-    code, text = run(["suite", "smoke"])
-    assert code == EXIT_PASS
-    lines = [l for l in text.splitlines() if l.startswith("PASS")]
-    assert len(lines) == 7
-    assert all("criterion" in l for l in lines)
-
-
 def test_rule_cap_aborts(monkeypatch):
     monkeypatch.setenv("QCAPELLI_RULE_CAP", "3")
     code, text = run(["verify", "--identity", "th", "--k", "2"])
@@ -211,6 +205,18 @@ def test_degree_cap_aborts(monkeypatch):
     monkeypatch.setenv("QCAPELLI_MAX_DEGREE", "1")
     code, text = run(["verify", "--identity", "th", "--k", "2"])
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("ident", ["th", "th-s", "cap-as", "cap-s",
+                                   "shift-scan"])
+@pytest.mark.parametrize("N", ["2", "1"])
+def test_chain_longer_than_the_degree_cap_aborts_at_once(ident, N):
+    # the default cap is 12; a 2^13-dimensional projector is never built
+    t0 = time.perf_counter()
+    code, text = run(["verify", "--identity", ident, "--N", N, "--k", "13"])
+    assert code == EXIT_RESOURCE, text
+    assert text.startswith("resource cap"), text
+    assert time.perf_counter() - t0 < 5
 
 
 def test_rigor_honours_the_caps(monkeypatch):
@@ -262,9 +268,11 @@ def _dj2_file(path, **changes):
 @pytest.mark.parametrize("command", ["verify", "validate"])
 def test_malformed_symmetry_input_is_config_error(tmp_path, command):
     bad_index = [{"i": "1", "j": 1, "k": 1, "l": 1, "value": "q"}]
+    zero_division = [{"i": 1, "j": 1, "k": 1, "l": 1, "value": "1/0"}]
     sources = [
         ["--rmatrix", _dj2_file(tmp_path / "q1.rmx", q="abc")],
         ["--rmatrix", _dj2_file(tmp_path / "q2.rmx", q="1/0")],
+        ["--rmatrix", _dj2_file(tmp_path / "v.rmx", entries=zero_division)],
         ["--rmatrix", _dj2_file(tmp_path / "i.rmx", entries=bad_index)],
         ["--rmatrix", _dj2_file(tmp_path / "n.rmx", N=6)],
         ["--N", "-1"],
@@ -293,9 +301,19 @@ def test_bad_q_is_config_error():
 
 
 def test_bad_alpha_is_config_error():
-    code, text = run(["verify", "--identity", "shift-scan",
-                      "--alpha", "q^^"])
+    code, text = run(["verify", "--identity", "th", "--alpha", "q^^"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "1/0"],
+    ["--alpha", "0^(-1)"],
+    ["--q", "3/5", "--alpha", "q/(q-q)"],
+])
+def test_division_by_zero_in_alpha_is_config_error(argv):
+    code, text = run(["verify", "--identity", "th"] + argv)
+    assert code == EXIT_CONFIG, text
+    assert text.startswith("configuration error"), text
 
 
 def test_rigor_constraints(tmp_path):
@@ -357,11 +375,11 @@ def test_bad_flag_is_config_error():
 
 
 def test_structured_suite_stream():
-    code, text = run(["suite", "smoke", "--format", "structured"])
+    code, text = run(["suite", "full", "--format", "structured"])
     assert code == EXIT_PASS
     records = [json.loads(l) for l in text.splitlines()]
     crits = [r for r in records if "criterion" in r]
-    assert len(crits) == 7
+    assert len(crits) == 12
     assert all(r["outcome"] == "pass" for r in crits)
     idents = [r for r in records if "identity" in r]
     assert idents and all("timings_ms" in r for r in idents)

@@ -5,13 +5,22 @@ from fractions import Fraction
 import pytest
 
 from qcapelli.capelli import RewriteContext, _lift
-from qcapelli.ncalg import NCError, NCPoly, copy_up, d_char, gen_matrix, m_char
+from qcapelli.ncalg import (
+    NCError,
+    NCPoly,
+    copy_up,
+    d_char,
+    gen_matrix,
+    m_char,
+    word_key,
+)
 from qcapelli.qlinalg import QMatrix, embed, matrix_inverse
 from qcapelli.rcatalog import dj, flip
 from qcapelli.rewrite import (
     BadSpecializationError,
     CapacityError,
     DegreeCapError,
+    Rewriter,
     _add,
     _max_degrees,
     complete,
@@ -139,6 +148,23 @@ def test_rule_counts_match_relation_module_rank():
         want = n2 * (n2 - 1) // 2
         assert len(derive_re_rules(sym).rules) == want
         assert len(derive_dd_rules(sym).rules) == want
+
+
+@pytest.mark.parametrize("q", ["3/5", "symbolic"])
+def test_degree_two_tables_are_interreduced(q):
+    cfg = QConfig.symbolic() if q == "symbolic" else QConfig.fixed(q)
+    sym = dj(3, cfg)
+    for kind, derive, braiding in (("m", derive_re_rules, sym.R),
+                                   ("d", derive_dd_rules, sym.R_inv)):
+        rules = derive(sym).rules
+        for lhs, rhs in rules.items():
+            for w in rhs:
+                assert word_key(w) < word_key(lhs)
+                assert not any(other in w for other in rules)
+        x1 = embed(gen_matrix(kind, 3), 1, 2)
+        system = Rewriter(rules)
+        for p in relation_entries(braiding, x1):
+            assert system.nf_terms(p.terms) == {}
 
 
 def test_completion_yields_flat_dimension_counts():

@@ -165,10 +165,21 @@ def test_pole_and_zero_division():
     assert s.eval_at(2) == 1
     with pytest.raises(ZeroDivisionError):
         inv(RatQ(0))
-    with pytest.raises(ZeroDivisionError):
-        parse_scalar("1/0", sym)
-    with pytest.raises(ZeroDivisionError):
-        parse_scalar("1/(q - q)", sym)
+
+
+@pytest.mark.parametrize("text, q, position", [
+    ("1/0", "symbolic", 2),
+    ("1/(q - q)", "symbolic", 2),
+    ("0^(-1)", "symbolic", 0),
+    ("q/(q-q)", "3/5", 2),
+    ("1/0", "3/5", 2),
+    ("2 + (1 - 1)^(-2)", "3/5", 4),
+])
+def test_division_by_zero_is_a_parse_error(text, q, position):
+    cfg = QConfig.symbolic() if q == "symbolic" else QConfig.fixed(q)
+    with pytest.raises(ScalarParseError) as err:
+        parse_scalar(text, cfg)
+    assert err.value.position == position
 
 
 def test_backend_mismatch_raises():

@@ -82,7 +82,8 @@ class VerificationReport:
 
 class RewriteContext:
     """Per-symmetry machinery: the exchange table and the two completed
-    systems, built lazily and grown monotonically in degree.
+    systems, built lazily and grown monotonically in degree from the
+    degree-2 rule tables, which are derived once per kind.
     specialization_guard is how the rank guard ended when the rules were
     derived ("not run" until they are)."""
 
@@ -92,6 +93,7 @@ class RewriteContext:
         self.max_degree = max_degree
         self.specialization_guard = "not run"
         self._table = None
+        self._rules = {}
         self._systems = {}
 
     @property
@@ -114,9 +116,11 @@ class RewriteContext:
         degree = self.capped(degree)
         got = self._systems.get(kind)
         if got is None or got.degree < degree:
-            derive = derive_re_rules if kind == "m" else derive_dd_rules
-            rules = derive(self.sym)
-            self.specialization_guard = rules.guard
+            rules = self._rules.get(kind)
+            if rules is None:
+                derive = derive_re_rules if kind == "m" else derive_dd_rules
+                rules = self._rules[kind] = derive(self.sym)
+                self.specialization_guard = rules.guard
             got = complete(rules, degree, rule_cap=self.rule_cap)
             self._systems[kind] = got
         return got

@@ -9,6 +9,13 @@ above position letters (lowercase > uppercase), row-major within a kind.
 NCPoly multiplies with exact scalars on both sides, so matrices of
 polynomials are plain qlinalg.QMatrix values: the generating matrices and
 their braided copies below are QMatrix objects with NCPoly entries.
+
+Every sparse sum of the engine goes through one first-touch accumulator,
+add_term: a new word stores its coefficient as it is (no 0 + c), a word
+already present adds, and a sum that cancels deletes the word, so no
+zero is ever stored.  add_product accumulates a whole product a.b the
+same way.  Both grow only a dict their caller created and owns; the
+terms of an NCPoly never change after it is built.
 """
 
 from __future__ import annotations
@@ -33,6 +40,39 @@ def d_char(i, j, N):
 
 def word_key(w):
     return (len(w), w)
+
+
+def add_term(terms, w, c):
+    """terms[w] += c in place, for a nonzero c: a new word stores c as it
+    is, and a sum that cancels deletes the word."""
+    old = terms.get(w)
+    if old is None:
+        terms[w] = c
+    else:
+        c = old + c
+        if c:
+            terms[w] = c
+        else:
+            del terms[w]
+
+
+def add_product(terms, a, b):
+    """terms += a.b in place, for nonzero a and b, each an NCPoly or a
+    scalar; a scalar factor multiplies from the left, as in NCPoly."""
+    if isinstance(a, NCPoly):
+        if isinstance(b, NCPoly):
+            bterms = b.terms.items()
+            for wa, ca in a.terms.items():
+                for wb, cb in bterms:
+                    add_term(terms, wa + wb, ca * cb)
+        else:
+            for w, c in a.terms.items():
+                add_term(terms, w, b * c)
+    elif isinstance(b, NCPoly):
+        for w, c in b.terms.items():
+            add_term(terms, w, a * c)
+    else:
+        add_term(terms, "", a * b)
 
 
 class NCPoly:
@@ -67,11 +107,7 @@ class NCPoly:
         if isinstance(other, NCPoly):
             out = dict(self.terms)
             for w, c in other.terms.items():
-                acc = out.get(w, 0) + c
-                if acc:
-                    out[w] = acc
-                else:
-                    out.pop(w, None)
+                add_term(out, w, c)
             return NCPoly._raw(out)
         return self + NCPoly.from_word("", other) if other else self
 
@@ -91,14 +127,7 @@ class NCPoly:
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             out = {}
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    w = wa + wb
-                    acc = out.get(w, 0) + ca * cb
-                    if acc:
-                        out[w] = acc
-                    else:
-                        out.pop(w, None)
+            add_product(out, self, other)
             return NCPoly._raw(out)
         if not other:
             return NCPoly.zero()

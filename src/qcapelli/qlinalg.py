@@ -139,17 +139,32 @@ class QMatrix:
 
 def rows_times(rows, other, width):
     """Rows of the product of a block of rows with the matrix whose rows
-    (each of length width) are other."""
+    (each of length width) are other.  A scalar entry starts from its
+    first product; a polynomial entry is summed in one dict of its own
+    (ncalg.add_product), which no partial sum copies."""
+    from .ncalg import NCPoly, add_product  # ncalg builds on this module
     out = []
     for arow in rows:
-        orow = [0] * width
+        orow = [None] * width
         for a, brow in zip(arow, other):
             if not a:
                 continue
+            apoly = isinstance(a, NCPoly)
             for j, b in enumerate(brow):
-                if b:
-                    orow[j] = orow[j] + a * b
-        out.append(orow)
+                if not b:
+                    continue
+                v = orow[j]
+                if type(v) is dict:
+                    add_product(v, a, b)
+                elif apoly or isinstance(b, NCPoly):
+                    orow[j] = acc = {"": v} if v else {}
+                    add_product(acc, a, b)
+                elif v is None:
+                    orow[j] = a * b
+                else:
+                    orow[j] = v + a * b
+        out.append([0 if v is None else
+                    NCPoly._raw(v) if type(v) is dict else v for v in orow])
     return out
 
 

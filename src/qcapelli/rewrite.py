@@ -17,14 +17,15 @@ reduce is the canonical form map: normal order, then reduce the position
 prefix and the derivative suffix of each word by the two systems, once
 per prefix for the sum of its suffixes.  A polynomial reduces to zero
 exactly when it lies in the two-sided ideal generated by the relations,
-up to the tested confluence of the combined system.
+up to the tested confluence of the combined system.  Every sum here
+accumulates through ncalg.add_term.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .ncalg import NCPoly, d_char, gen_matrix, m_char, word_key
+from .ncalg import NCPoly, add_term, d_char, gen_matrix, m_char, word_key
 from .qlinalg import echelon, embed
 from .scalar import inv as scalar_inv
 
@@ -55,14 +56,6 @@ def _find_redex(w, rules, lengths):
     return None
 
 
-def _add(terms, w, c):
-    acc = terms.get(w, 0) + c
-    if acc:
-        terms[w] = acc
-    else:
-        terms.pop(w, None)
-
-
 class Rewriter:
     """Oriented rules lhs -> {word: coeff}, applied at the leftmost redex
     (shortest left side first), with a per-word normal-form memo.
@@ -80,9 +73,10 @@ class Rewriter:
         self.lengths = sorted({len(w) for w in rules})
         self._nf = {}
 
-    def _reduced(self, w):
+    def nf_word(self, w):
         """Normal form of w as {word: coeff}, or None when w is
-        irreducible."""
+        irreducible.  The dict belongs to the memo: read it, never
+        change it."""
         cache, rules, lengths = self._nf, self.rules, self.lengths
         if w in cache or _find_redex(w, rules, lengths) is None:
             return cache.get(w)
@@ -105,27 +99,23 @@ class Rewriter:
             for s, cr in subs:
                 nf = cache.get(s)
                 if nf is None:
-                    _add(res, s, cr)
+                    add_term(res, s, cr)
                 else:
                     for w2, c2 in nf.items():
-                        _add(res, w2, cr * c2)
+                        add_term(res, w2, cr * c2)
             cache[top] = res
             stack.pop()
         return cache[w]
 
-    def nf_word(self, w):
-        nf = self._reduced(w)
-        return {w: 1} if nf is None else nf
-
     def nf_terms(self, terms):
         out = {}
         for w, c in terms.items():
-            nf = self._reduced(w)
+            nf = self.nf_word(w)
             if nf is None:
-                _add(out, w, c)
+                add_term(out, w, c)
             else:
                 for w2, c2 in nf.items():
-                    _add(out, w2, c * c2)
+                    add_term(out, w2, c * c2)
         return out
 
 
@@ -296,7 +286,7 @@ def _spoly(rules, w, u, v, offset):
     left = {wr + suf: cr for wr, cr in rules[u].items()}
     pre, post = w[:offset], w[offset + len(v):]
     for wr, cr in rules[v].items():
-        _add(left, pre + wr + post, -cr)
+        add_term(left, pre + wr + post, -cr)
     return left
 
 
@@ -382,7 +372,8 @@ def reduce(x, sys_m, sys_d, table):
     """Canonical form: normal-order the letter kinds, then reduce each
     segment to its ideal normal form.  Words are grouped by their position
     prefix, so each prefix's normal form multiplies the reduced sum of
-    its derivative suffixes once.  Input must fit the degree caps."""
+    its derivative suffixes once; under an irreducible prefix that sum is
+    merged as it is.  Input must fit the degree caps."""
     md, dd = _max_degrees(x)
     if md > sys_m.degree or dd > sys_d.degree:
         raise DegreeCapError(
@@ -395,9 +386,14 @@ def reduce(x, sys_m, sys_d, table):
     out = {}
     for prefix, terms in suffixes.items():
         tail = sys_d.nf_terms(terms)
-        for wm, cm in sys_m.nf_word(prefix).items():
+        head = sys_m.nf_word(prefix)
+        if head is None:
             for wd, cd in tail.items():
-                _add(out, wm + wd, cm * cd)
+                add_term(out, prefix + wd, cd)
+            continue
+        for wm, cm in head.items():
+            for wd, cd in tail.items():
+                add_term(out, wm + wd, cm * cd)
     return NCPoly._raw(out)
 
 

@@ -2,10 +2,10 @@
 
 A from-scratch implementation of polynomial differential operators in the
 N*N matrix variables, used to cross-check the main engine at the
-classical point.  It deliberately shares no code with the rewrite
-machinery: elements are exponent-vector dictionaries over plain
-fractions, and products are normal-ordered through the binomial
-contraction formula.
+classical point.  It deliberately shares no algebra with the rewrite
+machinery, only the sparse accumulator ncalg.add_term: elements are
+exponent-vector dictionaries over plain fractions, and products are
+normal-ordered through the binomial contraction formula.
 
 Generators: position variables m(i,j) and derivatives d(i,j), where
 d(i,j) differentiates m(j,i), so the commutator [d(i,j), m(k,s)] equals
@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
+
+from .ncalg import add_term
 
 
 class WeylError(Exception):
@@ -89,11 +91,7 @@ class WeylElement:
             raise WeylError("mixed sizes %d and %d" % (self.N, other.N))
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            add_term(out, key, c)
         return WeylElement(self.N, out)
 
     __radd__ = __add__
@@ -124,11 +122,7 @@ class WeylElement:
         for (va, ua), ca in self.terms.items():
             for (vb, ub), cb in other.terms.items():
                 for key, w in _contract(self.N, va, ua, vb, ub):
-                    acc = out.get(key, 0) + ca * cb * w
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                    add_term(out, key, ca * cb * w)
         return WeylElement(self.N, out)
 
     def __rmul__(self, other):

@@ -14,7 +14,7 @@ from qcapelli.qlinalg import QMatrix
 
 # Ten times the slowest of four runs of each criterion alone on a 2-core
 # VM (Python 3.11.7), rounded up to whole seconds, at least 5 s.
-BUDGETS_S = {1: 5, 2: 5, 3: 5, 4: 5, 5: 5, 6: 6, 7: 5, 8: 5, 9: 5, 10: 5,
+BUDGETS_S = {1: 5, 2: 5, 3: 5, 4: 5, 5: 5, 6: 5, 7: 5, 8: 5, 9: 5, 10: 5,
              11: 5, 12: 5}
 
 

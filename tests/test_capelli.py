@@ -525,6 +525,23 @@ def test_context_degree_cap():
         ctx.system("m", 3)
 
 
+def test_context_derives_each_rule_table_once(monkeypatch):
+    # growing a completion from degree 2 to 3 reuses the degree-2 table,
+    # whose derivation runs the guard probes at a fixed q
+    calls = []
+    for name in ("derive_re_rules", "derive_dd_rules"):
+        def counted(sym, fn=getattr(capelli, name), name=name):
+            calls.append(name)
+            return fn(sym)
+        monkeypatch.setattr(capelli, name, counted)
+    ctx = RewriteContext(dj(2, QConfig.fixed("3/5")))
+    for degree in (2, 3):
+        for kind in ("m", "d"):
+            assert ctx.system(kind, degree).degree == degree
+    assert sorted(calls) == ["derive_dd_rules", "derive_re_rules"]
+    assert ctx.specialization_guard == "checked"
+
+
 def test_rigor_bound_and_points():
     bound = rigor_bound(dj(2), 2)
     assert bound >= 1

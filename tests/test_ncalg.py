@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,15 +7,16 @@ import pytest
 from qcapelli.ncalg import (
     NCError,
     NCPoly,
+    add_term,
     copy_up,
     d_char,
     gen_matrix,
     m_char,
     word_key,
 )
-from qcapelli.qlinalg import QMatrix, embed, partial_trace, r_trace
+from qcapelli.qlinalg import QMatrix, embed, partial_trace, r_trace, rows_times
 from qcapelli.rcatalog import dj
-from qcapelli.rewrite import derive_exchange
+from qcapelli.rewrite import CompletedSystem, Rewriter, derive_exchange, reduce
 from qcapelli.scalar import QConfig
 from test_rewrite import apply_derivative
 
@@ -140,3 +142,113 @@ def test_embed_tail_and_trace_of_generators():
     tr = r_trace(M1, sym.c_matrix)
     direct = r_trace(M, sym.c_matrix) * trace_c
     assert tr == direct
+
+
+def _plain(x):
+    return x.v if isinstance(x, Counting) else x
+
+
+class Counting:
+    """An exact scalar that logs each addition and product it takes part
+    in as (op, left, right), with plain operands, to a shared list."""
+
+    __slots__ = ("v", "log")
+
+    def __init__(self, v, log):
+        self.v = Fraction(v)
+        self.log = log
+
+    def _op(self, name, fn, a, b):
+        self.log.append((name, a, b))
+        return Counting(fn(a, b), self.log)
+
+    def __add__(self, other):
+        return self._op("add", operator.add, self.v, _plain(other))
+
+    def __radd__(self, other):
+        return self._op("add", operator.add, _plain(other), self.v)
+
+    def __mul__(self, other):
+        return self._op("mul", operator.mul, self.v, _plain(other))
+
+    def __rmul__(self, other):
+        return self._op("mul", operator.mul, _plain(other), self.v)
+
+    def __neg__(self):
+        return Counting(-self.v, self.log)
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, other):
+        return self.v == _plain(other)
+
+    def __hash__(self):
+        return hash(self.v)
+
+
+def _ops(log, name):
+    return [entry for entry in log if entry[0] == name]
+
+
+def test_sums_over_distinct_words_add_nothing():
+    # a word seen for the first time stores its coefficient as it is
+    log = []
+    a = NCPoly({"A": Counting(2, log), "B": Counting(3, log)})
+    b = NCPoly({"a": Counting(5, log), "b": Counting(7, log)})
+    assert (a + b).terms == {"A": 2, "B": 3, "a": 5, "b": 7}
+    assert (a * b).terms == {"Aa": 10, "Ab": 14, "Ba": 15, "Bb": 21}
+    block = rows_times([[a, b]], [[b, 0], [0, a]], 2)
+    assert block == [[a * b, b * a]]
+    assert not _ops(log, "add")
+    # a scalar entry starts from its first product: one addition for two
+    del log[:]
+    row = rows_times([[Counting(2, log), Counting(3, log)]],
+                     [[Counting(5, log)], [Counting(7, log)]], 1)
+    assert row == [[31]]
+    assert [op[1:] for op in _ops(log, "add")] == [(10, 21)]
+
+
+def test_reduce_merges_under_an_irreducible_prefix_without_products():
+    log = []
+    sys_m = CompletedSystem("m", 2, {"BA": {"AB": Counting(2, log)}}, {})
+    sys_d = CompletedSystem("d", 2, {"ba": {"ab": Counting(5, log)}}, {})
+    table = Rewriter({})
+    x = NCPoly({"Aba": Counting(3, log), "BAa": Counting(7, log)})
+    out = reduce(x, sys_m, sys_d, table)
+    assert out.terms == {"Aab": 15, "ABa": 14}
+    products = [op[1:] for op in _ops(log, "mul")]
+    assert 1 not in {f for pair in products for f in pair}
+    assert sorted(products) == [(2, 7), (3, 5)]
+
+
+def test_cancelling_sum_deletes_the_word():
+    terms = {"A": Fraction(1)}
+    add_term(terms, "A", Fraction(-1))
+    assert terms == {}
+    a = NCPoly({"A": Fraction(1), "B": Fraction(2)})
+    assert (a + NCPoly({"A": Fraction(-1)})).terms == {"B": 2}
+    # A.B and AB.1 land on one word and cancel
+    x = NCPoly({"A": Fraction(1), "AB": Fraction(1)})
+    y = NCPoly({"B": Fraction(1), "": Fraction(-1)})
+    assert (x * y).terms == {"A": -1, "ABB": 1}
+    # in a matrix product the cancelled entry is the zero polynomial
+    block = rows_times([[x, -x]], [[y], [y]], 1)
+    assert block[0][0].terms == {}
+
+
+def test_sums_and_products_leave_their_operands_alone():
+    a = NCPoly({"A": Fraction(2), "Ab": Fraction(-1)})
+    b = NCPoly({"A": Fraction(-2), "b": Fraction(3)})
+    operands = (a, b)
+    before = [dict(p.terms) for p in operands]
+    results = [a + b, b + a, a - b, a * b, b * a,
+               NCPoly.zero() + a, a + NCPoly.zero()]
+    results += [v for row in rows_times([[a, b], [Fraction(2), 0]],
+                                        [[b, 0], [a, Fraction(1, 2)]], 2)
+                for v in row if isinstance(v, NCPoly)]
+    # grow every result: no operand may see it
+    for r in results:
+        add_term(r.terms, "Z", Fraction(1))
+    assert [dict(p.terms) for p in operands] == before
+    assert all(r.terms is not p.terms for r in results for p in operands)

@@ -8,6 +8,7 @@ from qcapelli.capelli import RewriteContext, _lift
 from qcapelli.ncalg import (
     NCError,
     NCPoly,
+    add_term,
     copy_up,
     d_char,
     gen_matrix,
@@ -21,7 +22,6 @@ from qcapelli.rewrite import (
     CapacityError,
     DegreeCapError,
     Rewriter,
-    _add,
     _max_degrees,
     complete,
     derive_dd_rules,
@@ -327,9 +327,9 @@ def reduce_per_term(x, sys_m, sys_d, table):
     out = {}
     for w, c in normal_order(x, table).terms.items():
         cut = next((i for i, ch in enumerate(w) if ch >= "a"), len(w))
-        for wm, cm in sys_m.nf_word(w[:cut]).items():
-            for wd, cd in sys_d.nf_word(w[cut:]).items():
-                _add(out, wm + wd, c * cm * cd)
+        for wm, cm in sys_m.nf_terms({w[:cut]: 1}).items():
+            for wd, cd in sys_d.nf_terms({w[cut:]: 1}).items():
+                add_term(out, wm + wd, c * cm * cd)
     return NCPoly(out)
 
 

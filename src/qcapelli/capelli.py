@@ -10,9 +10,13 @@ pass is evidence about the algebra and not about the reducer.
 Every projector identity is assembled on the row block of its projector
 P = U E, one row of E at a time (see ProjectorIdentity and
 theorem_sides): the factorization, its traced forms, cap1 and both
-determinant forms take rows _through one matrix at a time, keep every
-entry in canonical form after each factor, and never multiply two
-matrices of polynomials.  R-traces are contracted on the rows of E.
+determinant forms take rows _through one factor at a time and never
+multiply two matrices of polynomials.  Each braided copy is the word
+B X1 B^(-1) of scalar R-legs around X1 (_copy_factors).  Entries
+are brought back to canonical form after each X1 only: every rewrite
+subtracts an element of the ideal I, a scalar leg maps I into I, and a
+scalar combination of canonical forms is already canonical.  R-traces
+are contracted on the rows of E.
 """
 
 from __future__ import annotations
@@ -221,6 +225,37 @@ def shift_value(cfg, i, variant):
     raise VerifyError("unknown variant %r" % (variant,))
 
 
+def _copy_factors(sym, k):
+    """The factors of the braided copies on k legs, by token.
+
+    X_(i+1) = R_i X_i R_i^(-1) unrolls to B_i X_1 B_i^(-1) with
+    B_i = R_i ... R_1 and R_j = embed(R, j, k): the token j stands for
+    the scalar R-leg R_j, -j for its inverse, and the kind "m" or "d"
+    for X_1, whose entries are single letters.  Each is a mostly-zero
+    matrix whose zeros rows_times skips.
+    """
+    N = sym.N
+    factors = {kind: embed(gen_matrix(kind, N), 1, k) for kind in "md"}
+    for j in range(1, k):
+        factors[j] = embed(sym.R, j, k)
+        factors[-j] = embed(sym.R_inv, j, k)
+    return factors
+
+
+def _word(copies):
+    """The tokens (_copy_factors) of the product of the braided copies
+    (kind, i), i 1-based, in the given order, with every R_j^(-1) R_j
+    that meets cancelled."""
+    out = []
+    for kind, i in copies:
+        for tok in (*range(i - 1, 0, -1), kind, *range(-1, -i, -1)):
+            if type(tok) is int and out and out[-1] == -tok:
+                out.pop()
+            else:
+                out.append(tok)
+    return out
+
+
 class ProjectorIdentity:
     """The factorization identity at chain length k, set up once.
 
@@ -228,16 +263,18 @@ class ProjectorIdentity:
     X = MD and P the rank-k projector, and RHS = c P M1 ... Mk Dk ... D1
     with c = q^(k(k-1)) (column) or q^(-k(k-1)) (row).  This holds the
     rank factorization P = U E (qlinalg.rank_factor), with u the columns
-    of U and e the rows of E, the generator copies and the shifts; alpha,
+    of U and e the rows of E, the braided copies and the shifts; alpha,
     when given, replaces the final shift.  P.side = U.(E.side) and E = E P,
     so P W = 0 exactly when E W = 0, and the rows of E are independent:
     lhs and rhs push any rows of E through one side.  alpha needs k >= 2,
     since at k = 1 there is no shift to replace.
     """
 
-    __slots__ = ("k", "proj", "u", "e", "mcop", "dcop", "shifts", "c")
+    __slots__ = ("k", "proj", "u", "e", "factors", "shifts", "c")
 
     def __init__(self, sym, k, variant="column", alpha=None):
+        if variant not in ("column", "row"):
+            raise VerifyError("unknown variant %r" % (variant,))
         if k < 1:
             raise VerifyError("k must be positive")
         if alpha is not None and k < 2:
@@ -250,16 +287,17 @@ class ProjectorIdentity:
             self.shifts[-1] = alpha
         self.proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
         self.u, self.e = rank_factor(self.proj)
-        self.mcop = matrix_copies(sym, "m", k)
-        self.dcop = matrix_copies(sym, "d", k)
+        self.factors = _copy_factors(sym, k)
         sign = 1 if variant == "column" else -1
         self.c = cfg.qpow(sign * k * (k - 1))
 
     def lhs(self, ctx, rows):
-        """rows.LHS in canonical form, row.(MD + s) = (row.M).D + s row."""
-        block = _through(ctx, rows, [self.mcop[0], self.dcop[0]], self.k)
-        for m, d, s in zip(self.mcop[1:], self.dcop[1:], self.shifts):
-            moved = _through(ctx, block, [m, d], self.k)
+        """rows.LHS in canonical form, row.(MD + s) = (row.M).D + s row,
+        with M_i D_i = B M1 D1 B^(-1) for B = R_(i-1) ... R_1."""
+        block = _through(ctx, rows, self.factors, ["m", "d"], self.k)
+        for i, s in enumerate(self.shifts, 2):
+            moved = _through(ctx, block, self.factors,
+                             _word([("m", i), ("d", i)]), self.k)
             block = [[a + s * b if b else a for a, b in zip(ra, rb)]
                      for ra, rb in zip(moved, block)]
         # a scalar combination of canonical forms is canonical
@@ -267,32 +305,43 @@ class ProjectorIdentity:
 
     def rhs(self, ctx, rows):
         """rows.RHS in canonical form."""
+        k = self.k
         block = [[self.c * v if v else 0 for v in row] for row in rows]
-        return _through(ctx, block, self.mcop + self.dcop[::-1], self.k)
+        chain = _word([("m", i) for i in range(1, k + 1)]
+                      + [("d", i) for i in range(k, 0, -1)])
+        return _through(ctx, block, self.factors, chain, k)
 
 
 def theorem_sides(ctx, ident, rows):
     """Both sides of the factorization identity (a ProjectorIdentity) for
-    the given rows of E, each kept in canonical form after every factor.
+    the given rows of E, each kept in canonical form after every factor
+    with polynomial entries.
 
     Soundness: every rewrite subtracts an element of the two-sided ideal
     I, so nf(a) - a lies in I, and so does nf(a) X - a X for any matrix
-    X of ring elements.  Each side therefore differs from the printed
-    product by an element of I, and a zero residual of their difference
-    proves that E.(LHS - RHS) lies in I, with no confluence assumption.
-    No unreduced product is ever more than one factor deep.
+    X of ring elements.  A scalar R-leg maps I into I and a scalar
+    combination of canonical forms is canonical, so the legs need no
+    reduction.  Each side therefore differs from the printed product by
+    an element of I, and a zero residual of their difference proves that
+    E.(LHS - RHS) lies in I, with no confluence assumption.  No
+    unreduced product is ever more than one generator letter deep.
     """
     return ident.lhs(ctx, rows), ident.rhs(ctx, rows)
 
 
-def _through(ctx, block, mats, degree):
-    """block.X1...Xn for a block of rows in canonical form, multiplied
-    from the left one matrix at a time and brought back to canonical form
-    after each factor: the one product path of every projector identity,
-    so no two matrices of polynomials are multiplied."""
-    for x in mats:
-        block = [[ctx.reduce_poly(v, degree) if v else 0 for v in row]
-                 for row in rows_times(block, x.rows, x.dim)]
+def _through(ctx, block, factors, word, degree):
+    """block.F1...Fn for a block of rows in canonical form and the factors
+    F of a word of braided copies (_word), multiplied from the left one
+    factor at a time: the one product path of every projector identity,
+    so no two matrices of polynomials are multiplied.  The block is
+    brought back to canonical form after each X_1, the only factor with
+    polynomial entries."""
+    for tok in word:
+        x = factors[tok]
+        block = rows_times(block, x.rows, x.dim)
+        if type(tok) is str:
+            block = [[ctx.reduce_poly(v, degree) if v else 0 for v in row]
+                     for row in block]
     return block
 
 
@@ -372,12 +421,11 @@ def verify_traced(ctx, k, variant="column"):
 
 def _det_row(ctx, kind, row):
     """row.M1...Mm (kind "m") or row.Dm...D1 (kind "d") at the top rank m,
-    in canonical form."""
-    sym = ctx.sym
-    copies = matrix_copies(sym, kind, sym.rank)
-    if kind == "d":
-        copies.reverse()
-    return _through(ctx, [row], copies, sym.rank)[0]
+    in canonical form, for a row in canonical form."""
+    m = ctx.sym.rank
+    order = range(1, m + 1) if kind == "m" else range(m, 0, -1)
+    return _through(ctx, [row], _copy_factors(ctx.sym, m),
+                    _word([(kind, i) for i in order]), m)[0]
 
 
 def _det_forms(ctx, kind):

@@ -24,6 +24,7 @@ from .qlinalg import QMatrix, embed
 
 
 MAX_N = 5  # 26 letters per case bounds the alphabet
+POSITION_LETTERS = "".join(chr(ord("A") + i) for i in range(MAX_N * MAX_N))
 
 
 class NCError(Exception):

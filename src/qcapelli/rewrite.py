@@ -25,7 +25,15 @@ from __future__ import annotations
 
 import heapq
 
-from .ncalg import NCPoly, add_term, d_char, gen_matrix, m_char, word_key
+from .ncalg import (
+    POSITION_LETTERS,
+    NCPoly,
+    add_term,
+    d_char,
+    gen_matrix,
+    m_char,
+    word_key,
+)
 from .qlinalg import echelon, embed
 from .scalar import inv as scalar_inv
 
@@ -62,8 +70,10 @@ class Rewriter:
 
     Leftmost reduction is a well-defined linear map even for rules that
     are not confluent.  The memo holds for the rules it was built with:
-    after a rule changes, build a new Rewriter.  It keeps the words that
-    reduce; an irreducible word costs neither an entry nor a product.
+    after a rule changes, build a new Rewriter.  It keeps every word it
+    has scanned: a word that reduces maps to its normal form, an
+    irreducible one to None, so no word is scanned for a redex twice and
+    an irreducible word costs no product.
     """
 
     __slots__ = ("rules", "lengths", "_nf")
@@ -77,27 +87,37 @@ class Rewriter:
         """Normal form of w as {word: coeff}, or None when w is
         irreducible.  The dict belongs to the memo: read it, never
         change it."""
-        cache, rules, lengths = self._nf, self.rules, self.lengths
-        if w in cache or _find_redex(w, rules, lengths) is None:
-            return cache.get(w)
-        stack = [w]
+        cache = self._nf
+        if w in cache:
+            return cache[w]
+        rules, lengths = self.rules, self.lengths
+        redex = _find_redex(w, rules, lengths)
+        if redex is None:
+            cache[w] = None
+            return None
+        stack = [(w, redex)]
         while stack:
-            top = stack[-1]
+            top, (i, L) = stack[-1]
             if top in cache:
                 stack.pop()
                 continue
-            i, L = _find_redex(top, rules, lengths)
             pre, suf = top[:i], top[i + L:]
             rhs = rules[top[i:i + L]]
             subs = [(pre + wr + suf, cr) for wr, cr in rhs.items()]
-            missing = [s for s, _ in subs
-                       if s not in cache and _find_redex(s, rules, lengths)]
+            missing = []
+            for s, _ in subs:
+                if s not in cache:
+                    redex = _find_redex(s, rules, lengths)
+                    if redex is None:
+                        cache[s] = None
+                    else:
+                        missing.append((s, redex))
             if missing:
                 stack.extend(missing)
                 continue
             res = {}
             for s, cr in subs:
-                nf = cache.get(s)
+                nf = cache[s]
                 if nf is None:
                     add_term(res, s, cr)
                 else:
@@ -175,8 +195,25 @@ def normal_order(x, table):
     """Eliminate every derivative-before-position adjacency by the
     exchange table.  Terminates because each swap lowers (length,
     inversion count); the result does not depend on which adjacency is
-    rewritten first (tested, not assumed)."""
-    return NCPoly._raw(table.nf_terms(x.terms))
+    rewritten first (tested, not assumed).
+
+    Position letters start no exchange redex, so a word p.t whose prefix
+    p holds only position letters has the normal form p.nf(t): a word
+    that is already ordered (M*d*) passes as it is, and only the tail t
+    of any other word is looked up, so words that differ in their
+    position prefix share one memo entry."""
+    out = {}
+    nf_word = table.nf_word
+    for w, c in x.terms.items():
+        t = w.lstrip(POSITION_LETTERS)
+        nf = None if not t or t.islower() else nf_word(t)
+        if nf is None:
+            add_term(out, w, c)
+            continue
+        p = w[:len(w) - len(t)]
+        for w2, c2 in nf.items():
+            add_term(out, p + w2, c * c2)
+    return NCPoly._raw(out)
 
 
 class RuleSet:
@@ -381,8 +418,8 @@ def reduce(x, sys_m, sys_d, table):
             % (md, dd, sys_m.degree, sys_d.degree))
     suffixes = {}
     for w, c in normal_order(x, table).terms.items():
-        cut = next((i for i, ch in enumerate(w) if ch >= "a"), len(w))
-        suffixes.setdefault(w[:cut], {})[w[cut:]] = c
+        t = w.lstrip(POSITION_LETTERS)
+        suffixes.setdefault(w[:len(w) - len(t)], {})[t] = c
     out = {}
     for prefix, terms in suffixes.items():
         tail = sys_d.nf_terms(terms)

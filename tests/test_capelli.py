@@ -12,6 +12,7 @@ from qcapelli.capelli import (
     VerifyError,
     _cap1_lhs,
     _det_forms,
+    _det_row,
     _lift,
     _noncentral,
     _reduce_matrix,
@@ -143,6 +144,23 @@ def test_shift_values():
         shift_value(cfg, 2, "diagonal")
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_unknown_variant_is_refused_before_anything_is_built(k, monkeypatch):
+    ctx = ctx_for("dj2")
+
+    def built(*args):
+        raise AssertionError("a projector was built")
+
+    for name in ("antisym", "ssym"):
+        monkeypatch.setattr(ctx.sym, name, built)
+    monkeypatch.setattr(capelli, "rank_factor", built)
+    for run in (lambda: ProjectorIdentity(ctx.sym, k, "diagonal"),
+                lambda: verify_matrix_identity(ctx, k, "diagonal"),
+                lambda: verify_traced(ctx, k, "diagonal")):
+        with pytest.raises(VerifyError, match="unknown variant"):
+            run()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["column", "row"])
 def test_theorem_rank_one(k, variant):
@@ -257,6 +275,79 @@ def test_row_at_a_time_report_matches_the_unreduced_reference():
     assert rep.residual_entries == residuals == 39
     assert rep.residual_sample == sample
     assert rep.details["projector_rank"] == len(u)
+
+
+def dense_through(ctx, block, mats, degree):
+    """Reference: block.X1...Xn over dense matrices, reduced after every
+    factor, as the sides were assembled over matrix_copies before the
+    braided copies were factored into R-legs around X1."""
+    for x in mats:
+        block = [[ctx.reduce_poly(v, degree) if v else 0 for v in row]
+                 for row in rows_times(block, x.rows, x.dim)]
+    return block
+
+
+def dense_sides(ctx, ident, rows):
+    """Reference: rows.LHS and rows.RHS of a ProjectorIdentity over the
+    dense copies of matrix_copies."""
+    k = ident.k
+    mcop = matrix_copies(ctx.sym, "m", k)
+    dcop = matrix_copies(ctx.sym, "d", k)
+    lhs = dense_through(ctx, rows, mcop[:1] + dcop[:1], k)
+    for m, d, s in zip(mcop[1:], dcop[1:], ident.shifts):
+        moved = dense_through(ctx, lhs, [m, d], k)
+        lhs = [[a + s * b if b else a for a, b in zip(ra, rb)]
+               for ra, rb in zip(moved, lhs)]
+    lhs = rows_times(lhs, ident.proj.rows, ident.proj.dim)
+    rhs = [[ident.c * v if v else 0 for v in row] for row in rows]
+    return lhs, dense_through(ctx, rhs, mcop + dcop[::-1], k)
+
+
+def _terms(block):
+    return [[v.terms if v else {} for v in row] for row in block]
+
+
+FACTORED_CASES = ([(label, k, v, None) for label in ("dj2", "flip2")
+                   for k in (2, 3) for v in ("column", "row")]
+                  + [("dj3q", 2, v, None) for v in ("column", "row")]
+                  + [("dj3q", 3, "column", None),
+                     ("dj3q", 2, "column", "7/2"),
+                     ("dj2", 3, "row", "7/2")])
+
+
+@pytest.mark.parametrize("label,k,variant,alpha", FACTORED_CASES)
+def test_factored_sides_match_the_dense_copies(label, k, variant, alpha):
+    ctx = ctx_for(label)
+    sym = ctx.sym
+    if alpha is not None:
+        alpha = sym.q_config.parse(alpha)
+    ident = ProjectorIdentity(sym, k, variant, alpha)
+    # a unit row as well, so that rank-0 projectors (k > N in the
+    # column variant) still push a row through both sides
+    rows = ident.e + [[1] + [0] * (ident.proj.dim - 1)]
+    for row in rows:
+        got = theorem_sides(ctx, ident, [row])
+        want = dense_sides(ctx, ident, [row])
+        assert _terms(got[0]) == _terms(want[0])
+        assert _terms(got[1]) == _terms(want[1])
+
+
+@pytest.mark.parametrize("label", ["dj2", "dj2q", "dj3q", "flip2", "conj2"])
+def test_determinant_rows_match_the_dense_copies(label):
+    ctx = ctx_for(label)
+    sym = ctx.sym
+    m = sym.rank
+    (u,), (v,) = rank_factor(sym.antisym(m))
+    # a row of scalars, and a row of canonical polynomials of the other
+    # kind, as cap1 folds det(D) into v.M1...Mm
+    other = {"m": det_rinv(ctx), "d": det_r(ctx)}
+    for kind in ("m", "d"):
+        copies = matrix_copies(sym, kind, m)
+        if kind == "d":
+            copies.reverse()
+        for row in (v, [other[kind] * x if x else 0 for x in v]):
+            want = dense_through(ctx, [row], copies, m)
+            assert _terms([_det_row(ctx, kind, row)]) == _terms(want)
 
 
 def full_chain(sym, k, variant="column", alpha=None):

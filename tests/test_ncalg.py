@@ -16,7 +16,13 @@ from qcapelli.ncalg import (
 )
 from qcapelli.qlinalg import QMatrix, embed, partial_trace, r_trace, rows_times
 from qcapelli.rcatalog import dj
-from qcapelli.rewrite import CompletedSystem, Rewriter, derive_exchange, reduce
+from qcapelli.rewrite import (
+    CompletedSystem,
+    Rewriter,
+    derive_exchange,
+    normal_order,
+    reduce,
+)
 from qcapelli.scalar import QConfig
 from test_rewrite import apply_derivative
 
@@ -220,6 +226,21 @@ def test_reduce_merges_under_an_irreducible_prefix_without_products():
     products = [op[1:] for op in _ops(log, "mul")]
     assert 1 not in {f for pair in products for f in pair}
     assert sorted(products) == [(2, 7), (3, 5)]
+
+
+def test_normal_order_passes_ordered_words_without_products():
+    log = []
+    table = derive_exchange(dj(2, QConfig.fixed("3/5")))
+    x = NCPoly({w: Counting(c, log) for c, w in
+                enumerate(["", "A", "b", "ABab", "Ab", "DCBAdcba"], 1)})
+    assert normal_order(x, table).terms == x.terms
+    assert log == []
+    assert table._nf == {}
+    # unordered words that differ in their position prefix look up one
+    # tail
+    y = NCPoly({"AbA": Counting(1, log), "BbA": Counting(2, log)})
+    normal_order(y, table)
+    assert [w for w, nf in table._nf.items() if nf is not None] == ["bA"]
 
 
 def test_cancelling_sum_deletes_the_word():

@@ -270,6 +270,59 @@ def test_normal_order_strategy_independence():
             assert all(not (w[i] >= "a" > w[i + 1]) for i in range(len(w) - 1))
 
 
+@pytest.mark.parametrize("N,q", [(2, None), (3, "3/5")])
+def test_normal_order_tail_path_matches_the_reference(N, q):
+    sym = dj(N) if q is None else dj(N, QConfig.fixed(q))
+    cfg = sym.q_config
+    table = derive_exchange(sym)
+    ms, ds = m_alphabet(N), d_alphabet(N)
+    rng = random.Random(404 + N)
+    ordered = 0
+    for _ in range(25):
+        terms = {}
+        for _ in range(5):
+            tm = [rng.choice(ms) for _ in range(rng.randint(1, 2))]
+            td = [rng.choice(ds) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                ordered += 1
+                tail = tm + td
+            else:
+                # a derivative letter first and a position letter after it
+                rest = tm[1:] + td[1:]
+                rng.shuffle(rest)
+                tail = td[:1] + rest + tm[:1]
+            prefix = "".join(rng.choice(ms) for _ in range(rng.randint(0, 3)))
+            terms[prefix + "".join(tail)] = cfg.from_fraction(
+                Fraction(rng.randint(1, 4)))
+        x = NCPoly(terms)
+        assert normal_order(x, table) == normal_order_by(
+            x, table, lambda redexes: redexes[0])
+    assert 25 < ordered < 100
+
+
+def test_irreducible_word_is_scanned_once(monkeypatch):
+    from qcapelli import rewrite
+
+    system = complete(derive_re_rules(dj(2)), 3)
+    scans = []
+    find = rewrite._find_redex
+
+    def counted(w, rules, lengths):
+        scans.append(w)
+        return find(w, rules, lengths)
+
+    monkeypatch.setattr(rewrite, "_find_redex", counted)
+    fresh = Rewriter(system.rules)
+    words = ["".join(p) for p in itertools.product(m_alphabet(2), repeat=3)]
+    irreducible = [w for w in words if fresh.nf_word(w) is None]
+    assert irreducible and len(irreducible) < len(words)
+    assert len(scans) == len(set(scans))
+    del scans[:]
+    for w in words:
+        fresh.nf_word(w)
+    assert scans == []
+
+
 def test_reduce_is_a_projection():
     sym = dj(2)
     table = derive_exchange(sym)

@@ -12,11 +12,14 @@ P = U E, one row of E at a time (see ProjectorIdentity and
 theorem_sides): the factorization, its traced forms, cap1 and both
 determinant forms take rows _through one factor at a time and never
 multiply two matrices of polynomials.  Each braided copy is the word
-B X1 B^(-1) of scalar R-legs around X1 (_copy_factors).  Entries
-are brought back to canonical form after each X1 only: every rewrite
-subtracts an element of the ideal I, a scalar leg maps I into I, and a
-scalar combination of canonical forms is already canonical.  R-traces
-are contracted on the rows of E.
+B X1 B^(-1) of scalar R-legs around X1 (_copy_factors, _word), its one
+construction; the identities stated on whole matrices multiply the
+same words out (_product).  Entries are brought back to canonical form
+after each X1 only: every rewrite subtracts an element of the ideal I,
+a scalar leg maps I into I, and a scalar combination of canonical
+forms is already canonical.  R-traces are contracted on the rows of E.
+The determinant-level identities set up one ProjectorIdentity of A^(m)
+at the top rank m and hand it to every helper.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 from fractions import Fraction
 
 from . import weyl
-from .ncalg import MAX_N, NCPoly, copy_up, gen_matrix
+from .ncalg import MAX_N, NCPoly, gen_matrix
 from .qlinalg import QMatrix, embed, rank_factor, rows_times, trace_weight
 from .rewrite import (
     DegreeCapError,
@@ -33,6 +36,7 @@ from .rewrite import (
     derive_dd_rules,
     derive_exchange,
     derive_re_rules,
+    normal_order,
     reduce,
 )
 from .scalar import RatQ, scalar_to_text
@@ -157,14 +161,16 @@ def _sample(entry, poly):
             "terms": [[w, scalar_to_text(c)] for w, c in terms]}
 
 
-def _reduce_matrix(ctx, rows, degree):
+def _reduce_matrix(rows, canon):
+    """(residual entries, sample) of a matrix given by its rows, canon
+    mapping each nonzero entry to its canonical form."""
     residuals = 0
     sample = []
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if not v:
                 continue
-            r = ctx.reduce_poly(v, degree)
+            r = canon(v)
             if not r.is_zero():
                 residuals += 1
                 if len(sample) < SAMPLE_ENTRIES:
@@ -194,26 +200,22 @@ def _timings(build, reduction):
             "reduction": round(1000 * reduction, 3)}
 
 
-def _verify_dense(ctx, identity, params, degree, assemble):
+def _verify_dense(ctx, identity, params, canon, assemble):
     """The one path of the identities stated on whole dim x dim matrices:
-    assemble() builds the difference of the two sides, which is reduced
-    entrywise at the given completion degree."""
+    assemble() builds the difference of the two sides, and canon brings
+    each entry to canonical form."""
     t0 = time.perf_counter()
     diff = assemble()
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, diff.rows, degree)
+    residuals, sample = _reduce_matrix(diff.rows, canon)
     t2 = time.perf_counter()
     return _report(ctx, identity, params, residuals, sample,
                    _timings(t1 - t0, t2 - t1))
 
 
-def matrix_copies(sym, kind, k):
-    """X_ov1 .. X_ovk on k tensor legs, X_ov(i+1) = R_i X_ovi R_i^(-1)."""
-    x = embed(gen_matrix(kind, sym.N), 1, k)
-    out = [x]
-    for i in range(1, k):
-        out.append(copy_up(out[-1], sym.R, sym.R_inv, i))
-    return out
+def _reducer(ctx, degree):
+    """The canonical form map modulo the ideal at the given degree."""
+    return lambda v: ctx.reduce_poly(v, degree)
 
 
 def shift_value(cfg, i, variant):
@@ -242,17 +244,31 @@ def _copy_factors(sym, k):
     return factors
 
 
-def _word(copies):
-    """The tokens (_copy_factors) of the product of the braided copies
-    (kind, i), i 1-based, in the given order, with every R_j^(-1) R_j
-    that meets cancelled."""
+def _word(items):
+    """The tokens (_copy_factors) of a product, in the given order, of
+    braided copies (kind, i), i 1-based, and bare leg tokens j or -j,
+    with every R_j^(-1) R_j and R_j R_j^(-1) that meets cancelled."""
     out = []
-    for kind, i in copies:
-        for tok in (*range(i - 1, 0, -1), kind, *range(-1, -i, -1)):
+    for item in items:
+        if type(item) is int:
+            toks = (item,)
+        else:
+            kind, i = item
+            toks = (*range(i - 1, 0, -1), kind, *range(-1, -i, -1))
+        for tok in toks:
             if type(tok) is int and out and out[-1] == -tok:
                 out.pop()
             else:
                 out.append(tok)
+    return out
+
+
+def _product(factors, word):
+    """The factors of a nonempty word multiplied out as one dim x dim
+    matrix, for the identities stated on whole matrices."""
+    out = factors[word[0]]
+    for tok in word[1:]:
+        out = out * factors[tok]
     return out
 
 
@@ -263,14 +279,15 @@ class ProjectorIdentity:
     X = MD and P the rank-k projector, and RHS = c P M1 ... Mk Dk ... D1
     with c = q^(k(k-1)) (column) or q^(-k(k-1)) (row).  This holds the
     rank factorization P = U E (qlinalg.rank_factor), with u the columns
-    of U and e the rows of E, the braided copies and the shifts; alpha,
-    when given, replaces the final shift.  P.side = U.(E.side) and E = E P,
-    so P W = 0 exactly when E W = 0, and the rows of E are independent:
-    lhs and rhs push any rows of E through one side.  alpha needs k >= 2,
-    since at k = 1 there is no shift to replace.
+    of U and e the rows of E, the trace columns w of U (_trace_columns),
+    the braided copies and the shifts; alpha, when given, replaces the
+    final shift.  P.side = U.(E.side) and E = E P, so P W = 0 exactly
+    when E W = 0, and the rows of E are independent: lhs and rhs push
+    any rows of E through one side.  alpha needs k >= 2, since at k = 1
+    there is no shift to replace.
     """
 
-    __slots__ = ("k", "proj", "u", "e", "factors", "shifts", "c")
+    __slots__ = ("k", "proj", "u", "e", "w", "factors", "shifts", "c")
 
     def __init__(self, sym, k, variant="column", alpha=None):
         if variant not in ("column", "row"):
@@ -287,6 +304,7 @@ class ProjectorIdentity:
             self.shifts[-1] = alpha
         self.proj = sym.antisym(k) if variant == "column" else sym.ssym(k)
         self.u, self.e = rank_factor(self.proj)
+        self.w = _trace_columns(sym, self.u, k)
         self.factors = _copy_factors(sym, k)
         sign = 1 if variant == "column" else -1
         self.c = cfg.qpow(sign * k * (k - 1))
@@ -388,7 +406,7 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None):
             build += time.perf_counter() - t
             yield [a - b for a, b in zip(lhs, rhs)]
 
-    residuals, sample = _reduce_matrix(ctx, diff_rows(), k)
+    residuals, sample = _reduce_matrix(diff_rows(), _reducer(ctx, k))
     total = time.perf_counter() - t0
     params = {"N": sym.N, "k": k, "variant": variant}
     if alpha is not None:
@@ -406,7 +424,7 @@ def verify_traced(ctx, k, variant="column"):
     t0 = time.perf_counter()
     ident = ProjectorIdentity(sym, k, variant)
     traced = 0
-    for row, w in zip(ident.e, _trace_columns(sym, ident.u, k)):
+    for row, w in zip(ident.e, ident.w):
         (lhs,), (rhs,) = theorem_sides(ctx, ident, [row])
         traced = traced + _ket(lhs, w) - _ket(rhs, w)
     t1 = time.perf_counter()
@@ -419,32 +437,31 @@ def verify_traced(ctx, k, variant="column"):
                    residuals, sample, _timings(t1 - t0, t2 - t1))
 
 
-def _det_row(ctx, kind, row):
-    """row.M1...Mm (kind "m") or row.Dm...D1 (kind "d") at the top rank m,
-    in canonical form, for a row in canonical form."""
-    m = ctx.sym.rank
+def _det_row(ctx, top, kind, row):
+    """row.M1...Mm (kind "m") or row.Dm...D1 (kind "d") in canonical form,
+    for a row in canonical form, over the braided copies of top, the
+    ProjectorIdentity of A^(m) at the top rank m."""
+    m = top.k
     order = range(1, m + 1) if kind == "m" else range(m, 0, -1)
-    return _through(ctx, [row], _copy_factors(ctx.sym, m),
+    return _through(ctx, [row], top.factors,
                     _word([(kind, i) for i in order]), m)[0]
 
 
-def _det_forms(ctx, kind):
+def _det_forms(ctx, top, kind):
     """Both forms of a quantum determinant, read off the one row
-    v.M1...Mm (or v.Dm...D1) for A^(m) = u v: the weighted trace
-    Tr_R(u (x) row) q^(m^2) and the bra-ket row.u."""
-    sym = ctx.sym
-    m = sym.rank
-    (u,), (v,) = rank_factor(sym.antisym(m))
-    row = _det_row(ctx, kind, v)
-    (w,) = _trace_columns(sym, [u], m)
-    return _ket(row, w) * sym.q_config.qpow(m * m), _ket(row, u)
+    v.M1...Mm (or v.Dm...D1) for A^(m) = u v (top, as in _det_row): the
+    weighted trace Tr_R(u (x) row) q^(m^2) and the bra-ket row.u."""
+    m = top.k
+    (u,), (v,), (w,) = top.u, top.e, top.w
+    row = _det_row(ctx, top, kind, v)
+    return _ket(row, w) * ctx.sym.q_config.qpow(m * m), _ket(row, u)
 
 
-def _det_poly(ctx, kind):
+def _det_poly(ctx, top, kind):
     """Quantum determinant via the weighted-trace form, cross-checked
     against the bra-ket form; the two must agree modulo the ideal."""
-    traced, usual = _det_forms(ctx, kind)
-    gap = ctx.reduce_poly(traced - usual, ctx.sym.rank)
+    traced, usual = _det_forms(ctx, top, kind)
+    gap = ctx.reduce_poly(traced - usual, top.k)
     if not gap.is_zero():
         raise VerifyError(
             "determinant forms disagree for the %s side: %d residual words"
@@ -452,12 +469,12 @@ def _det_poly(ctx, kind):
     return traced
 
 
-def det_r(ctx):
-    return _det_poly(ctx, "m")
+def det_r(ctx, top):
+    return _det_poly(ctx, top, "m")
 
 
-def det_rinv(ctx):
-    return _det_poly(ctx, "d")
+def det_rinv(ctx, top):
+    return _det_poly(ctx, top, "d")
 
 
 def _noncentral(ctx, z, kind):
@@ -479,8 +496,9 @@ def verify_determinants(ctx):
     derivative generator, modulo the ideal."""
     sym = ctx.sym
     t0 = time.perf_counter()
+    top = ProjectorIdentity(sym, sym.rank)
     try:
-        dets = {"m": det_r(ctx), "d": det_rinv(ctx)}
+        dets = {"m": det_r(ctx, top), "d": det_rinv(ctx, top)}
     except VerifyError as e:
         return _report(ctx, "det-forms", {"N": sym.N, "m": sym.rank}, 1,
                        [{"entry": ["forms"], "terms": [[str(e), "1"]]}],
@@ -497,19 +515,21 @@ def verify_determinants(ctx):
                    details)
 
 
-def _cap1_lhs(ctx):
-    """Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) at the top rank m, in
-    canonical form, as Tr_R(U.(E.LHS)) contracted on the rows of E: the
-    trailing A^(m) of LHS is absorbed by the R-trace, since C^(x)m
-    commutes with A^(m)."""
-    sym = ctx.sym
-    m = sym.rank
-    ident = ProjectorIdentity(sym, m, "column")
-    traced = 0
-    for row, w in zip(ident.lhs(ctx, ident.e),
-                      _trace_columns(sym, ident.u, m)):
-        traced = traced + _ket(row, w)
-    return traced
+def _cap1_sides(ctx, top):
+    """Both sides of cap1 in canonical form, and det(D), for top the
+    ProjectorIdentity of A^(m) at the top rank m.  The left side
+    Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) is Tr_R(U.(E.LHS)) contracted
+    on the rows of E: the trailing A^(m) of LHS is absorbed by the
+    R-trace, since C^(x)m commutes with A^(m).  The right side is
+    q^(-m) det(M) det(D)."""
+    m = top.k
+    lhs = 0
+    for row, w in zip(top.lhs(ctx, top.e), top.w):
+        lhs = lhs + _ket(row, w)
+    dd = det_rinv(ctx, top)
+    rhs = ctx.reduce_poly(
+        (det_r(ctx, top) * dd) * ctx.sym.q_config.qpow(-m), m)
+    return lhs, rhs, dd
 
 
 def verify_cap1(ctx):
@@ -517,20 +537,19 @@ def verify_cap1(ctx):
     in the printed order; the reversed order is recorded, not asserted."""
     sym = ctx.sym
     m = sym.rank
-    cfg = sym.q_config
     t0 = time.perf_counter()
-    lhs = _cap1_lhs(ctx)
-    dm = det_r(ctx)
-    dd = det_rinv(ctx)
+    top = ProjectorIdentity(sym, m)
+    lhs, rhs, dd = _cap1_sides(ctx, top)
     # det(D) det(M) with det(M) in its bra-ket form v.M1...Mm.u, which
     # _det_poly checked against the traced form: det(D) is folded into
     # the row v one factor at a time
-    (u,), (v,) = rank_factor(sym.antisym(m))
-    reversed_rhs = _ket(_det_row(ctx, "m", [dd * x if x else 0 for x in v]),
-                        u)
+    (u,), (v,) = top.u, top.e
+    reversed_rhs = _ket(
+        _det_row(ctx, top, "m", [dd * x if x else 0 for x in v]), u)
     t1 = time.perf_counter()
-    res = lhs - ctx.reduce_poly((dm * dd) * cfg.qpow(-m), m)
-    reversed_res = lhs - ctx.reduce_poly(reversed_rhs * cfg.qpow(-m), m)
+    res = lhs - rhs
+    reversed_res = lhs - ctx.reduce_poly(
+        reversed_rhs * sym.q_config.qpow(-m), m)
     t2 = time.perf_counter()
     residuals = 0 if res.is_zero() else 1
     sample = [] if res.is_zero() else [_sample(("trace",), res)]
@@ -543,55 +562,57 @@ def verify_mre(ctx):
     """Quadratic-minus-linear relation satisfied by the composite matrix:
     R X1 R X1 - X1 R X1 R = R X1 - X1 R for X = MD."""
     sym = ctx.sym
-    N = sym.N
 
     def assemble():
-        m1 = embed(gen_matrix("m", N), 1, 2)
-        d1 = embed(gen_matrix("d", N), 1, 2)
-        l1 = m1 * d1
-        R = sym.R
-        rl = R * l1
-        lr = l1 * R
-        lhs = rl * R * l1 - lr * l1 * R
-        return lhs - (rl - lr)
+        f = _copy_factors(sym, 2)
+        r = f[1]
+        l1 = f["m"] * f["d"]
+        rl = r * l1
+        lr = l1 * r
+        return rl * r * l1 - lr * l1 * r - (rl - lr)
 
-    return _verify_dense(ctx, "mre", {"N": N}, 2, assemble)
+    return _verify_dense(ctx, "mre", {"N": sym.N}, _reducer(ctx, 2),
+                         assemble)
 
 
 def verify_re_ideal(ctx):
-    """The derivative generators preserve the position ideal: moving D1
-    across a quadratic relation multiplies it by a braiding chain."""
+    """The exchange relations carry D1 across a position relation:
+    D1 y = y D1 R1^(-1) R2^(-1) R2^(-1) R1^(-1) on three legs, for the
+    relation y = R2 M2 M3 - M2 M3 R2 of the copies M2 and M3.  Each entry
+    of the difference is normal-ordered through the exchange table and
+    reduced by neither ideal, so a zero residual proves the identity
+    from the exchange relations alone; with y in the position ideal, it
+    also shows that D1 y lies in that ideal."""
     sym = ctx.sym
-    N = sym.N
+    ctx.capped(3)
+    table = ctx.table
 
     def assemble():
-        mcop = matrix_copies(sym, "m", 3)
-        d1 = embed(gen_matrix("d", N), 1, 3)
-        r2 = embed(sym.R, 2, 3)
-        pair = mcop[1] * mcop[2]
-        y = r2 * pair - pair * r2
-        r1i = embed(sym.R_inv, 1, 3)
-        r2i = embed(sym.R_inv, 2, 3)
-        tail = r1i * r2i * r2i * r1i
-        return d1 * y - y * d1 * tail
+        f = _copy_factors(sym, 3)
+        pair = _product(f, _word([("m", 2), ("m", 3)]))
+        y = f[2] * pair - pair * f[2]
+        tail = _product(f, _word([-1, -2, -2, -1]))
+        return f["d"] * y - y * f["d"] * tail
 
-    return _verify_dense(ctx, "re-ideal", {"N": N}, 3, assemble)
+    return _verify_dense(ctx, "re-ideal", {"N": sym.N},
+                         lambda v: normal_order(v, table), assemble)
 
 
 def verify_h_copy(ctx, p):
-    """Higher-copy form of the position relations on p+1 legs, p >= 1."""
+    """Higher-copy form of the position relations on p+1 legs, p >= 1:
+    R_p M_p M_(p+1) = M_p M_(p+1) R_p."""
     sym = ctx.sym
     if p < 1:
         raise VerifyError("h-copy needs p >= 1, got %d" % (p,))
+    ctx.capped(p + 1)
 
     def assemble():
-        legs = p + 1
-        mcop = matrix_copies(sym, "m", legs)
-        rp = embed(sym.R, p, legs)
-        pair = mcop[p - 1] * mcop[p]
-        return rp * pair - pair * rp
+        f = _copy_factors(sym, p + 1)
+        pair = _product(f, _word([("m", p), ("m", p + 1)]))
+        return f[p] * pair - pair * f[p]
 
-    return _verify_dense(ctx, "h-copy", {"N": sym.N, "p": p}, 2, assemble)
+    return _verify_dense(ctx, "h-copy", {"N": sym.N, "p": p},
+                         _reducer(ctx, 2), assemble)
 
 
 def verify_consum(ctx, k):
@@ -600,6 +621,7 @@ def verify_consum(ctx, k):
     sym = ctx.sym
     if k < 2:
         raise VerifyError("consum needs k >= 2, got %d" % (k,))
+    ctx.capped(k)
     cfg = sym.q_config
     t0 = time.perf_counter()
     a = sym.antisym(k)
@@ -623,37 +645,29 @@ def verify_consum(ctx, k):
                    {"build": round(1000 * (t1 - t0), 3)})
 
 
-def _r_chain(sym, legs, seq, inverse):
-    out = QMatrix.identity(sym.N, legs)
-    base = sym.R_inv if inverse else sym.R
-    for i in seq:
-        out = out * embed(base, i, legs)
-    return out
-
-
 def verify_exchange_general(ctx, p, k):
     """Commutation of a derivative copy across a higher composite copy:
-    D_ovp L_ovk = L_ovk D_ovp C2 + D_ovp C1 with braiding chains C1, C2."""
+    D_ovp L_ovk = L_ovk D_ovp C2 + D_ovp C1 with the braiding chains
+    C2 = B R_p^(-1) R_p^(-1) B' and C1 = B R_p^(-1) B', where
+    B = R_(k-1) ... R_(p+1) and B' = B^(-1)."""
     sym = ctx.sym
     if not 1 <= p < k:
         raise VerifyError("need 1 <= p < k")
+    ctx.capped(k)
 
     def assemble():
-        dcop = matrix_copies(sym, "d", k)
-        m1 = embed(gen_matrix("m", sym.N), 1, k)
-        lk = m1 * embed(gen_matrix("d", sym.N), 1, k)
-        for i in range(1, k):
-            lk = copy_up(lk, sym.R, sym.R_inv, i)
-        dp = dcop[p - 1]
-        down = _r_chain(sym, k, range(k - 1, p, -1), inverse=False)
-        up = _r_chain(sym, k, range(p + 1, k), inverse=True)
-        rp_inv = embed(sym.R_inv, p, k)
-        c2 = down * rp_inv * rp_inv * up
-        c1 = down * rp_inv * up
+        f = _copy_factors(sym, k)
+        dp = _product(f, _word([("d", p)]))
+        lk = _product(f, _word([("m", k), ("d", k)]))
+        down = range(k - 1, p, -1)
+        up = range(-p - 1, -k, -1)
+        c2 = _product(f, _word([*down, -p, -p, *up]))
+        c1 = _product(f, _word([*down, -p, *up]))
         return dp * lk - (lk * dp * c2 + dp * c1)
 
     return _verify_dense(ctx, "exchange-general",
-                         {"N": sym.N, "p": p, "k": k}, 2, assemble)
+                         {"N": sym.N, "p": p, "k": k}, _reducer(ctx, 2),
+                         assemble)
 
 
 def verify_shift_scan(ctx, k):
@@ -696,12 +710,9 @@ def verify_classical(N):
     t0 = time.perf_counter()
     staircase = [N - j for j in range(1, N + 1)]
     report = weyl.capelli_check(N)
-    M = weyl.m_matrix(N)
-    D = weyl.d_matrix(N)
-    rows = weyl.add_diagonal(weyl.mat_product(M, D), staircase)
+    rows, rhs = weyl.capelli_sides(N, staircase)
     transposed = [[rows[j][i] for j in range(N)] for i in range(N)]
-    row_gap = (weyl.column_determinant(transposed)
-               - weyl.column_determinant(M) * weyl.column_determinant(D))
+    row_gap = weyl.column_determinant(transposed) - rhs
     t1 = time.perf_counter()
     residuals = 0 if (report["holds"] and report["control_fails"]) else 1
     return VerificationReport(
@@ -748,16 +759,9 @@ def verify_classical_consistency(ctx):
         raise VerifyError("classical consistency requires the q = 1 point")
     t0 = time.perf_counter()
     m = sym.rank
-    cfg = sym.q_config
-    lhs = _cap1_lhs(ctx)
-    rhs = ctx.reduce_poly((det_r(ctx) * det_rinv(ctx)) * cfg.qpow(-m), m)
-
-    staircase = [N - j for j in range(1, N + 1)]
-    M = weyl.m_matrix(N)
-    D = weyl.d_matrix(N)
-    oracle_lhs = weyl.column_determinant(
-        weyl.add_diagonal(weyl.mat_product(M, D), staircase))
-    oracle_rhs = weyl.column_determinant(M) * weyl.column_determinant(D)
+    lhs, rhs, _ = _cap1_sides(ctx, ProjectorIdentity(sym, m))
+    rows, oracle_rhs = weyl.capelli_sides(N, [N - j for j in range(1, N + 1)])
+    oracle_lhs = weyl.column_determinant(rows)
     t1 = time.perf_counter()
 
     gap_l = _specialize_to_weyl(lhs, N) - oracle_lhs

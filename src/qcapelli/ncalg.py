@@ -7,8 +7,8 @@ which sorts by total degree first and then places derivative letters
 above position letters (lowercase > uppercase), row-major within a kind.
 
 NCPoly multiplies with exact scalars on both sides, so matrices of
-polynomials are plain qlinalg.QMatrix values: the generating matrices and
-their braided copies below are QMatrix objects with NCPoly entries.
+polynomials are plain qlinalg.QMatrix values: the generating matrices
+below are QMatrix objects with NCPoly entries.
 
 Every sparse sum of the engine goes through one first-touch accumulator,
 add_term: a new word stores its coefficient as it is (no 0 + c), a word
@@ -20,7 +20,7 @@ terms of an NCPoly never change after it is built.
 
 from __future__ import annotations
 
-from .qlinalg import QMatrix, embed
+from .qlinalg import QMatrix
 
 
 MAX_N = 5  # 26 letters per case bounds the alphabet
@@ -170,8 +170,3 @@ def gen_matrix(kind, N):
     rows = [[NCPoly.from_word(char(i + 1, j + 1, N)) for j in range(N)]
             for i in range(N)]
     return QMatrix(N, 1, rows)
-
-
-def copy_up(X, R, R_inv, i):
-    """Conjugate by the braiding on legs (i, i+1): R_i X R_i^(-1)."""
-    return embed(R, i, X.p) * X * embed(R_inv, i, X.p)

@@ -168,11 +168,14 @@ def load(path):
     is (i-1)N + j; omitted entries are zero.  The symmetry is named
     file:<base name of path>.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CatalogError("%s: not valid JSON (%s)" % (path, e))
+    except json.JSONDecodeError as e:
+        raise CatalogError("%s: not valid JSON (%s)" % (path, e))
+    except (OSError, UnicodeDecodeError) as e:
+        raise CatalogError("%s: cannot be read as UTF-8 text (%s)"
+                           % (path, e))
     if not isinstance(record, dict):
         raise CatalogError("%s: expected a JSON object" % (path,))
     for key in ("N", "q", "entries"):

@@ -24,10 +24,6 @@ class BackendMismatch(ScalarError):
     """A fixed-backend scalar met a symbolic-backend scalar."""
 
 
-class PoleError(ScalarError, ZeroDivisionError):
-    """Evaluation point is a root of a denominator."""
-
-
 class ScalarParseError(ScalarError):
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))
@@ -182,16 +178,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash((self.offset, self.coeffs))
-
-    def eval(self, q0):
-        q0 = Fraction(q0)
-        if not q0:
-            raise PoleError("cannot evaluate a Laurent polynomial at q = 0")
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc += c * q0 ** (self.offset + i)
-        return acc
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (_poly_text(self),)
@@ -432,15 +418,6 @@ class RatQ:
         if len(self.den.coeffs) == 1 and not n.offset and len(n.coeffs) < 2:
             return hash(n.coeffs[0]) if n.coeffs else 0
         return hash((n, self.den))
-
-    def eval_at(self, q0):
-        q0 = Fraction(q0)
-        d = self.den.eval(q0) if not self.num.is_zero() else Fraction(1)
-        if not d:
-            raise PoleError("denominator vanishes at q = %s" % (q0,))
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.eval(q0) / d
 
     def __repr__(self):
         return "RatQ(%r)" % (scalar_to_text(self),)

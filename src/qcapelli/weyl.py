@@ -201,13 +201,20 @@ def column_determinant(A):
     return total
 
 
-def capelli_residual(N, shifts):
-    """column_determinant(M D + diag(shifts)) - det(M) det(D)."""
+def capelli_sides(N, shifts):
+    """The two sides of the classical Capelli identity: the matrix
+    M D + diag(shifts), whose column determinant is the left side, and
+    the right side det(M) det(D)."""
     M = m_matrix(N)
     D = d_matrix(N)
-    lhs = column_determinant(add_diagonal(mat_product(M, D), shifts))
-    rhs = column_determinant(M) * column_determinant(D)
-    return lhs - rhs
+    return (add_diagonal(mat_product(M, D), shifts),
+            column_determinant(M) * column_determinant(D))
+
+
+def capelli_residual(N, shifts):
+    """column_determinant(M D + diag(shifts)) - det(M) det(D)."""
+    rows, rhs = capelli_sides(N, shifts)
+    return column_determinant(rows) - rhs
 
 
 def capelli_check(N):

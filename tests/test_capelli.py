@@ -10,16 +10,20 @@ from qcapelli.capelli import (
     ProjectorIdentity,
     RewriteContext,
     VerifyError,
-    _cap1_lhs,
+    _cap1_sides,
+    _copy_factors,
     _det_forms,
     _det_row,
     _lift,
     _noncentral,
+    _product,
     _reduce_matrix,
+    _reducer,
     _report,
+    _verify_dense,
+    _word,
     det_r,
     det_rinv,
-    matrix_copies,
     rigor_bound,
     shift_value,
     theorem_sides,
@@ -40,9 +44,10 @@ from qcapelli.capelli import (
 from qcapelli.ncalg import NCPoly, m_char
 from qcapelli.qlinalg import QMatrix, rank_factor, rows_times
 from qcapelli.rcatalog import dj, flip, load
-from qcapelli.rewrite import DegreeCapError
+from qcapelli.rewrite import DegreeCapError, Rewriter, normal_order
 from qcapelli.scalar import QConfig, scalar_to_text
 from test_rcatalog import conjugate
+from test_rewrite import matrix_copies
 
 
 def _bra_ket(v, X, u):
@@ -94,7 +99,7 @@ def verify_matr_id(ctx):
     lhs = proj * chain
     rhs = proj.scale(scalar)
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(ctx, (lhs - rhs).rows, m)
+    residuals, sample = _reduce_matrix((lhs - rhs).rows, _reducer(ctx, m))
     t2 = time.perf_counter()
     return _report(ctx, "matr-id", {"N": sym.N, "m": m}, residuals, sample,
                    {"build": round(1000 * (t1 - t0), 3),
@@ -269,7 +274,8 @@ def test_row_at_a_time_report_matches_the_unreduced_reference():
     alpha = ctx.sym.q_config.parse("7/2")
     u, lhs, rhs = unreduced_sides(ctx.sym, 2, "row", alpha)
     residuals, sample = _reduce_matrix(
-        ctx, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)], 2)
+        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)],
+        _reducer(ctx, 2))
     rep = verify_matrix_identity(ctx, 2, "row", alpha)
     assert not rep.passed()
     assert rep.residual_entries == residuals == 39
@@ -337,17 +343,18 @@ def test_determinant_rows_match_the_dense_copies(label):
     ctx = ctx_for(label)
     sym = ctx.sym
     m = sym.rank
-    (u,), (v,) = rank_factor(sym.antisym(m))
+    top = ProjectorIdentity(sym, m)
+    (v,) = top.e
     # a row of scalars, and a row of canonical polynomials of the other
     # kind, as cap1 folds det(D) into v.M1...Mm
-    other = {"m": det_rinv(ctx), "d": det_r(ctx)}
+    other = {"m": det_rinv(ctx, top), "d": det_r(ctx, top)}
     for kind in ("m", "d"):
         copies = matrix_copies(sym, kind, m)
         if kind == "d":
             copies.reverse()
         for row in (v, [other[kind] * x if x else 0 for x in v]):
             want = dense_through(ctx, [row], copies, m)
-            assert _terms([_det_row(ctx, kind, row)]) == _terms(want)
+            assert _terms([_det_row(ctx, top, kind, row)]) == _terms(want)
 
 
 def full_chain(sym, k, variant="column", alpha=None):
@@ -420,17 +427,18 @@ def test_row_block_scalars_match_the_full_products(label):
     sym = ctx.sym
     cfg = sym.q_config
     m = sym.rank
+    top = ProjectorIdentity(sym, m)
     # Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) with dim x dim products
-    assert _cap1_lhs(ctx) == ctx.reduce_poly(
+    assert _cap1_sides(ctx, top)[0] == ctx.reduce_poly(
         sym.r_trace(full_chain(sym, m)), m)
     proj = sym.antisym(m)
     (u,), (v,) = rank_factor(proj)
     for kind in ("m", "d"):
         chain = _det_chain(sym, kind)
         traced = sym.r_trace(proj * chain) * cfg.qpow(m * m)
-        assert _det_forms(ctx, kind) == (ctx.reduce_poly(traced, m),
-                                         ctx.reduce_poly(
-                                             _bra_ket(v, chain, u), m))
+        assert _det_forms(ctx, top, kind) == (ctx.reduce_poly(traced, m),
+                                              ctx.reduce_poly(
+                                                  _bra_ket(v, chain, u), m))
 
 
 def _holds_poly(x):
@@ -499,9 +507,10 @@ def test_centrality_check_catches_a_noncentral_element(monkeypatch):
     ctx = ctx_for("dj2")
     cfg = ctx.sym.q_config
     m12 = NCPoly.from_word(m_char(1, 2, 2), cfg.one())
-    assert not _noncentral(ctx, det_r(ctx), "m")
+    top = ProjectorIdentity(ctx.sym, ctx.sym.rank)
+    assert not _noncentral(ctx, det_r(ctx, top), "m")
     assert _noncentral(ctx, m12, "m")
-    monkeypatch.setattr(capelli, "det_r", lambda ctx: m12)
+    monkeypatch.setattr(capelli, "det_r", lambda ctx, top: m12)
     rep = verify_determinants(ctx)
     assert not rep.passed()
     assert rep.details["forms_agree"] == "pass"
@@ -520,9 +529,119 @@ def test_re_ideal():
     assert verify_re_ideal(ctx_for("dj2")).passed()
 
 
+@pytest.mark.parametrize("label", ["dj2q", "dj3q", "conj2"])
+def test_re_ideal_other_symmetries(label):
+    assert verify_re_ideal(ctx_for(label)).passed()
+
+
+@pytest.mark.parametrize("label,nonzero", [("dj2", 48), ("dj2q", 48),
+                                           ("dj3q", 648), ("conj2", 64)])
+def test_re_ideal_needs_its_braiding_tail(label, nonzero):
+    # D1 y - y D1, normal-ordered as verify_re_ideal does: modulo the
+    # ideal, y D1 tail lies in it for any tail; modulo the exchange
+    # relations alone, only the stated tail closes the identity
+    ctx = ctx_for(label)
+    table = ctx.table
+
+    def assemble():
+        f = _copy_factors(ctx.sym, 3)
+        pair = _product(f, _word([("m", 2), ("m", 3)]))
+        y = f[2] * pair - pair * f[2]
+        return f["d"] * y - y * f["d"]
+
+    rep = _verify_dense(ctx, "re-ideal", {"N": ctx.sym.N},
+                        lambda v: normal_order(v, table), assemble)
+    assert rep.residual_entries == nonzero
+
+
+@pytest.mark.parametrize("q", [None, "3/5"])
+def test_whole_matrix_identities_see_a_wrong_exchange_rule(q, monkeypatch):
+    # double the Ab coefficient of the exchange rule for aB
+    derive = capelli.derive_exchange
+
+    def doubled(sym):
+        rules = {w: dict(rhs) for w, rhs in derive(sym).rules.items()}
+        rules["aB"]["Ab"] = 2 * rules["aB"]["Ab"]
+        return Rewriter(rules)
+
+    monkeypatch.setattr(capelli, "derive_exchange", doubled)
+    ctx = RewriteContext(dj(2) if q is None else dj(2, QConfig.fixed(q)))
+    assert verify_mre(ctx).residual_entries == 10
+    assert [verify_exchange_general(ctx, p, k).residual_entries
+            for p, k in ((1, 2), (1, 3), (2, 3))] == [5, 14, 19]
+    assert verify_re_ideal(ctx).residual_entries == 17
+
+
+@pytest.mark.parametrize("label,nonzero", [("dj2", 10), ("dj3q", 44)])
+def test_mre_needs_its_linear_term(label, nonzero):
+    ctx = ctx_for(label)
+
+    def assemble():
+        f = _copy_factors(ctx.sym, 2)
+        r, l1 = f[1], f["m"] * f["d"]
+        return r * l1 * r * l1 - l1 * r * l1 * r
+
+    rep = _verify_dense(ctx, "mre", {"N": ctx.sym.N}, _reducer(ctx, 2),
+                        assemble)
+    assert rep.residual_entries == nonzero
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_h_copy(p):
     assert verify_h_copy(ctx_for("dj2"), p).passed()
+
+
+@pytest.mark.parametrize("p,braid,nonzero", [(1, 2, 40), (2, 1, 48)])
+def test_h_copy_needs_its_braiding_leg(p, braid, nonzero):
+    # R_braid M_p M_(p+1) - M_p M_(p+1) R_braid on three legs, with the
+    # braiding on the other leg pair
+    ctx = ctx_for("dj2")
+
+    def assemble():
+        f = _copy_factors(ctx.sym, 3)
+        pair = _product(f, _word([("m", p), ("m", p + 1)]))
+        return f[braid] * pair - pair * f[braid]
+
+    rep = _verify_dense(ctx, "h-copy", {"N": 2, "p": p}, _reducer(ctx, 2),
+                        assemble)
+    assert rep.residual_entries == nonzero
+
+
+def test_leg_count_is_capped_before_anything_is_built(monkeypatch):
+    ctx = RewriteContext(dj(2), max_degree=3)
+
+    def built(*args):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(capelli, "_copy_factors", built)
+    monkeypatch.setattr(capelli, "embed", built)
+    for name in ("antisym", "ssym"):
+        monkeypatch.setattr(ctx.sym, name, built)
+    for run in (lambda: verify_consum(ctx, 4),
+                lambda: verify_h_copy(ctx, 3),
+                lambda: verify_exchange_general(ctx, 1, 4),
+                lambda: verify_re_ideal(RewriteContext(dj(2), max_degree=2))):
+        with pytest.raises(DegreeCapError):
+            run()
+
+
+@pytest.mark.parametrize("label,verify", [
+    ("dj2q", verify_cap1), ("dj3q", verify_cap1),
+    ("dj2q", verify_determinants),
+    ("flip2", verify_classical_consistency)])
+def test_top_rank_is_set_up_once(label, verify, monkeypatch):
+    ctx = ctx_for(label)
+    sym = ctx.sym
+    calls = []
+    for name in ("rank_factor", "_copy_factors"):
+        def counted(*args, fn=getattr(capelli, name), name=name):
+            calls.append((name, args[-1]))
+            return fn(*args)
+        monkeypatch.setattr(capelli, name, counted)
+    assert verify(ctx).passed()
+    assert [name for name, _ in calls] == ["rank_factor", "_copy_factors"]
+    assert calls[0][1] == sym.antisym(sym.rank)
+    assert calls[1][1] == sym.rank
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -581,8 +700,9 @@ def test_classical_consistency_needs_unit_point():
 def test_rank_one_closed_forms():
     ctx = ctx_for("dj1")
     cfg = ctx.sym.q_config
-    assert det_r(ctx).terms == {"A": cfg.one()}
-    assert det_rinv(ctx).terms == {"a": cfg.one()}
+    top = ProjectorIdentity(ctx.sym, 1)
+    assert det_r(ctx, top).terms == {"A": cfg.one()}
+    assert det_rinv(ctx, top).terms == {"a": cfg.one()}
     assert e_k(ctx.sym, 1).terms == {"A": cfg.qpow(-1)}
     rep = verify_cap1(ctx)
     assert rep.passed()
@@ -592,15 +712,21 @@ def test_e_k_top_matches_determinant():
     ctx = ctx_for("dj2")
     cfg = ctx.sym.q_config
     top = e_k(ctx.sym, 2) * cfg.qpow(4)
-    gap = ctx.reduce_poly(top - det_r(ctx), 2)
+    gap = ctx.reduce_poly(top - det_r(ctx, ProjectorIdentity(ctx.sym, 2)), 2)
     assert gap.is_zero()
 
 
 def test_matrix_copies_shapes():
-    cops = matrix_copies(dj(2), "m", 3)
-    assert len(cops) == 3
-    assert all(x.p == 3 for x in cops)
-    assert cops[0].dim == 8
+    # the recursion X_(i+1) = R_i X_i R_i^(-1) against the R-leg words
+    for label in ("dj2", "dj2q", "flip2"):
+        sym = ctx_for(label).sym
+        factors = _copy_factors(sym, 3)
+        for kind in ("m", "d"):
+            cops = matrix_copies(sym, kind, 3)
+            assert len(cops) == 3
+            assert all(x.p == 3 and x.dim == 8 for x in cops)
+            for i, x in enumerate(cops, 1):
+                assert _product(factors, _word([(kind, i)])) == x
 
 
 def test_report_record_is_serializable():

@@ -219,6 +219,18 @@ def test_chain_longer_than_the_degree_cap_aborts_at_once(ident, N):
     assert time.perf_counter() - t0 < 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["--identity", "consum", "--k", "4"],
+    ["--identity", "h-copy", "--p", "3"],
+    ["--identity", "exchange-general", "--p", "1", "--k", "4"],
+])
+def test_legs_beyond_the_degree_cap_abort(argv, monkeypatch):
+    monkeypatch.setenv("QCAPELLI_MAX_DEGREE", "3")
+    code, text = run(["verify"] + argv)
+    assert code == EXIT_RESOURCE, text
+    assert text.startswith("resource cap"), text
+
+
 def test_rigor_honours_the_caps(monkeypatch):
     monkeypatch.setenv("QCAPELLI_MAX_DEGREE", "1")
     code, text = run(["verify", "--identity", "th", "--k", "2", "--rigor"])
@@ -284,6 +296,17 @@ def test_malformed_symmetry_input_is_config_error(tmp_path, command):
         code, text = run([command] + source)
         assert code == EXIT_CONFIG, (source, text)
         assert text.startswith("configuration error"), (source, text)
+
+
+@pytest.mark.parametrize("command", [["verify", "--identity", "mre"],
+                                     ["validate"]])
+def test_unreadable_rmatrix_file_is_config_error(tmp_path, command):
+    latin1 = tmp_path / "latin1.rmx"
+    latin1.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, latin1):
+        code, text = run(command + ["--rmatrix", "file:%s" % path])
+        assert code == EXIT_CONFIG, text
+        assert text.startswith("configuration error"), text
 
 
 @pytest.mark.parametrize("N", ["0", "-1", "6"])

@@ -8,7 +8,6 @@ from qcapelli.ncalg import (
     NCError,
     NCPoly,
     add_term,
-    copy_up,
     d_char,
     gen_matrix,
     m_char,
@@ -24,7 +23,7 @@ from qcapelli.rewrite import (
     reduce,
 )
 from qcapelli.scalar import QConfig
-from test_rewrite import apply_derivative
+from test_rewrite import apply_derivative, copy_up
 
 
 def test_char_round_trip():

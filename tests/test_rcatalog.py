@@ -159,6 +159,17 @@ def test_load_structural_errors(tmp_path):
         assert not isinstance(err.value, CatalogValidationError)
 
 
+def test_unreadable_file_is_a_catalog_error(tmp_path):
+    # a directory, and a file that is not UTF-8 text
+    latin1 = tmp_path / "latin1.rmx"
+    latin1.write_bytes(json.dumps(_dj2_record("symbolic")).encode()
+                       + b" \xff")
+    for path in (tmp_path, latin1):
+        with pytest.raises(CatalogError) as err:
+            load(str(path))
+        assert not isinstance(err.value, CatalogValidationError)
+
+
 @pytest.mark.parametrize("N", [0, -1, 6])
 def test_catalog_families_reject_dimensions_outside_the_alphabet(N):
     for family in (dj, flip):

@@ -9,7 +9,6 @@ from qcapelli.ncalg import (
     NCError,
     NCPoly,
     add_term,
-    copy_up,
     d_char,
     gen_matrix,
     m_char,
@@ -32,6 +31,22 @@ from qcapelli.rewrite import (
     reduce,
 )
 from qcapelli.scalar import QConfig
+
+
+def copy_up(X, R, R_inv, i):
+    """Reference: conjugate by the braiding on legs (i, i+1),
+    R_i X R_i^(-1)."""
+    return embed(R, i, X.p) * X * embed(R_inv, i, X.p)
+
+
+def matrix_copies(sym, kind, k):
+    """Reference: the braided copies X_ov1 .. X_ovk on k tensor legs by
+    the recursion X_ov(i+1) = R_i X_ovi R_i^(-1), one dense matrix each:
+    the definition the factored copies of capelli are compared with."""
+    out = [embed(gen_matrix(kind, sym.N), 1, k)]
+    for i in range(1, k):
+        out.append(copy_up(out[-1], sym.R, sym.R_inv, i))
+    return out
 
 
 def m_alphabet(N):

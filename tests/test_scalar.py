@@ -6,7 +6,6 @@ import pytest
 from qcapelli.scalar import (
     BackendMismatch,
     LaurentPoly,
-    PoleError,
     QConfig,
     RatQ,
     ScalarError,
@@ -23,6 +22,19 @@ from qcapelli.scalar import (
 def reciprocal_q(p):
     """The Laurent polynomial p with q replaced by q^(-1)."""
     return LaurentPoly(-(p.offset + len(p.coeffs) - 1), reversed(p.coeffs))
+
+
+def value_at(x, q0):
+    """Reference: the value of a RatQ at q = q0 != 0, by evaluating its
+    numerator and denominator term by term; ZeroDivisionError when q0 is
+    a root of the denominator."""
+    q0 = Fraction(q0)
+
+    def laurent(p):
+        return sum((c * q0 ** (p.offset + i) for i, c in enumerate(p.coeffs)),
+                   Fraction(0))
+
+    return laurent(x.num) / laurent(x.den)
 
 
 def rand_fraction(rng, height=20):
@@ -87,10 +99,10 @@ def test_symbolic_ops_commute_with_evaluation():
         a, b = rand_ratq(rng), rand_ratq(rng)
         for q0 in points:
             try:
-                va, vb = a.eval_at(q0), b.eval_at(q0)
-                assert (a + b).eval_at(q0) == va + vb
-                assert (a * b).eval_at(q0) == va * vb
-            except PoleError:
+                va, vb = value_at(a, q0), value_at(b, q0)
+                assert value_at(a + b, q0) == va + vb
+                assert value_at(a * b, q0) == va * vb
+            except ZeroDivisionError:
                 continue
 
 
@@ -102,7 +114,7 @@ def test_qnum_basics():
     assert sym.qnum(2) == parse_scalar("q + q^(-1)", sym)
     assert sym.qnum(3) == parse_scalar("q^2 + 1 + q^(-2)", sym)
     for k in range(7):
-        assert sym.qnum(k).eval_at(Fraction(3, 5)) == fx.qnum(k)
+        assert value_at(sym.qnum(k), Fraction(3, 5)) == fx.qnum(k)
     # palindromic under q -> 1/q
     for k in range(1, 11):
         n = sym.qnum(k)
@@ -160,9 +172,9 @@ def test_parser_errors_carry_position():
 def test_pole_and_zero_division():
     sym = QConfig.symbolic()
     s = parse_scalar("1/(q - 1)", sym)
-    with pytest.raises(PoleError):
-        s.eval_at(1)
-    assert s.eval_at(2) == 1
+    with pytest.raises(ZeroDivisionError):
+        value_at(s, 1)
+    assert value_at(s, 2) == 1
     with pytest.raises(ZeroDivisionError):
         inv(RatQ(0))
 

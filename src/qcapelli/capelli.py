@@ -2,7 +2,7 @@
 
 Every identity is verified the same way: both sides are assembled as
 matrices (or scalars) over the double's polynomial ring, exactly as
-printed, and the difference is reduced entrywise to canonical form.  A
+printed, and the difference is brought entrywise to canonical form.  A
 verification passes when every residual is identically zero.  Negative
 controls (wrong shifts, dropped diagonals) must come out nonzero, so a
 pass is evidence about the algebra and not about the reducer.
@@ -17,13 +17,15 @@ construction; the identities stated on whole matrices multiply the
 same words out (_product).  Entries are brought back to canonical form
 after each X1 only: every rewrite subtracts an element of the ideal I,
 a scalar leg maps I into I, and a scalar combination of canonical
-forms is already canonical.  R-traces are contracted on the rows of E.
+forms is already canonical: differences, R-traces on the rows of E and
+determinant forms are compared as they stand, never reduced again.
 The determinant-level identities set up one ProjectorIdentity of A^(m)
 at the top rank m and hand it to every helper.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from .rewrite import (
     derive_dd_rules,
     derive_exchange,
     derive_re_rules,
+    max_degrees,
     normal_order,
     reduce,
 )
@@ -133,12 +136,15 @@ class RewriteContext:
             self._systems[kind] = got
         return got
 
-    def reduce_poly(self, x, degree):
-        """Canonical form of a ring element; a bare scalar or the zero 0
-        (a matrix entry no product reached) is lifted to an NCPoly."""
+    def reduce_poly(self, x):
+        """Canonical form of a ring element, each system completed to the
+        degree of its kind's letters in x (the rules are homogeneous, so a
+        word's normal form is the same at every degree from its own up);
+        a bare scalar or the zero 0 is lifted to an NCPoly."""
         if not isinstance(x, NCPoly):
             x = NCPoly.from_word("", x)
-        return reduce(x, self.system("m", degree), self.system("d", degree),
+        md, dd = max_degrees(x)
+        return reduce(x, self.system("m", md), self.system("d", dd),
                       self.table)
 
     def q_points(self):
@@ -161,20 +167,17 @@ def _sample(entry, poly):
             "terms": [[w, scalar_to_text(c)] for w, c in terms]}
 
 
-def _reduce_matrix(rows, canon):
-    """(residual entries, sample) of a matrix given by its rows, canon
-    mapping each nonzero entry to its canonical form."""
+def _residuals(rows):
+    """(residual entries, sample) of a matrix given by its rows in
+    canonical form, each entry an NCPoly or 0: its nonzero entries."""
     residuals = 0
     sample = []
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if not v:
-                continue
-            r = canon(v)
-            if not r.is_zero():
+            if v:
                 residuals += 1
                 if len(sample) < SAMPLE_ENTRIES:
-                    sample.append(_sample((i, j), r))
+                    sample.append(_sample((i, j), v))
     return residuals, sample
 
 
@@ -203,19 +206,15 @@ def _timings(build, reduction):
 def _verify_dense(ctx, identity, params, canon, assemble):
     """The one path of the identities stated on whole dim x dim matrices:
     assemble() builds the difference of the two sides, and canon brings
-    each entry to canonical form."""
+    each nonzero entry to canonical form."""
     t0 = time.perf_counter()
     diff = assemble()
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix(diff.rows, canon)
+    residuals, sample = _residuals([canon(v) if v else 0 for v in row]
+                                   for row in diff.rows)
     t2 = time.perf_counter()
     return _report(ctx, identity, params, residuals, sample,
                    _timings(t1 - t0, t2 - t1))
-
-
-def _reducer(ctx, degree):
-    """The canonical form map modulo the ideal at the given degree."""
-    return lambda v: ctx.reduce_poly(v, degree)
 
 
 def shift_value(cfg, i, variant):
@@ -312,10 +311,10 @@ class ProjectorIdentity:
     def lhs(self, ctx, rows):
         """rows.LHS in canonical form, row.(MD + s) = (row.M).D + s row,
         with M_i D_i = B M1 D1 B^(-1) for B = R_(i-1) ... R_1."""
-        block = _through(ctx, rows, self.factors, ["m", "d"], self.k)
+        block = _through(ctx, rows, self.factors, ["m", "d"])
         for i, s in enumerate(self.shifts, 2):
             moved = _through(ctx, block, self.factors,
-                             _word([("m", i), ("d", i)]), self.k)
+                             _word([("m", i), ("d", i)]))
             block = [[a + s * b if b else a for a, b in zip(ra, rb)]
                      for ra, rb in zip(moved, block)]
         # a scalar combination of canonical forms is canonical
@@ -327,7 +326,7 @@ class ProjectorIdentity:
         block = [[self.c * v if v else 0 for v in row] for row in rows]
         chain = _word([("m", i) for i in range(1, k + 1)]
                       + [("d", i) for i in range(k, 0, -1)])
-        return _through(ctx, block, self.factors, chain, k)
+        return _through(ctx, block, self.factors, chain)
 
 
 def theorem_sides(ctx, ident, rows):
@@ -347,7 +346,7 @@ def theorem_sides(ctx, ident, rows):
     return ident.lhs(ctx, rows), ident.rhs(ctx, rows)
 
 
-def _through(ctx, block, factors, word, degree):
+def _through(ctx, block, factors, word):
     """block.F1...Fn for a block of rows in canonical form and the factors
     F of a word of braided copies (_word), multiplied from the left one
     factor at a time: the one product path of every projector identity,
@@ -358,7 +357,7 @@ def _through(ctx, block, factors, word, degree):
         x = factors[tok]
         block = rows_times(block, x.rows, x.dim)
         if type(tok) is str:
-            block = [[ctx.reduce_poly(v, degree) if v else 0 for v in row]
+            block = [[ctx.reduce_poly(v) if v else 0 for v in row]
                      for row in block]
     return block
 
@@ -388,10 +387,10 @@ def _lift(u, block, N, k):
 
 
 def verify_matrix_identity(ctx, k, variant="column", alpha=None):
-    """Entrywise reduction of E.(LHS - RHS), the r x dim row block of the
+    """The nonzero entries of E.(LHS - RHS), the r x dim row block of the
     factorization identity, one row of E at a time: each row goes through
-    both sides, and its difference is reduced and dropped before the next
-    row.  details["projector_rank"] is r."""
+    both sides, and its canonical difference is counted and dropped
+    before the next row.  details["projector_rank"] is r."""
     sym = ctx.sym
     ctx.capped(k)
     t0 = time.perf_counter()
@@ -406,7 +405,7 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None):
             build += time.perf_counter() - t
             yield [a - b for a, b in zip(lhs, rhs)]
 
-    residuals, sample = _reduce_matrix(diff_rows(), _reducer(ctx, k))
+    residuals, sample = _residuals(diff_rows())
     total = time.perf_counter() - t0
     params = {"N": sym.N, "k": k, "variant": variant}
     if alpha is not None:
@@ -416,25 +415,32 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None):
                    {"projector_rank": len(ident.u)})
 
 
+def _traced(ctx, ident, rhs=True):
+    """Canonical R-trace over all k legs of P.(LHS - RHS), or of P.LHS
+    without rhs: Tr_R(U.B) = sum_i B_i.(W.U)_i over the rows B_i of the
+    row block, each pushed through from its row of E one at a time."""
+    acc = 0
+    for row, w in zip(ident.e, ident.w):
+        if rhs:
+            (lhs,), (r,) = theorem_sides(ctx, ident, [row])
+            acc = acc + _ket(lhs, w) - _ket(r, w)
+        else:
+            acc = acc + _ket(ident.lhs(ctx, [row])[0], w)
+    return acc
+
+
 def verify_traced(ctx, k, variant="column"):
-    """R-trace over all k legs of P.(LHS - RHS), contracted on the rows of
-    E one at a time, then one scalar reduction."""
+    """The canonical R-trace of P.(LHS - RHS) (_traced) against zero."""
     sym = ctx.sym
     ctx.capped(k)
     t0 = time.perf_counter()
     ident = ProjectorIdentity(sym, k, variant)
-    traced = 0
-    for row, w in zip(ident.e, ident.w):
-        (lhs,), (rhs,) = theorem_sides(ctx, ident, [row])
-        traced = traced + _ket(lhs, w) - _ket(rhs, w)
+    res = _traced(ctx, ident)
     t1 = time.perf_counter()
-    res = ctx.reduce_poly(traced, k)
-    t2 = time.perf_counter()
-    residuals = 0 if res.is_zero() else 1
-    sample = [] if res.is_zero() else [_sample(("trace",), res)]
     name = "cap-as" if variant == "column" else "cap-s"
     return _report(ctx, name, {"N": sym.N, "k": k, "variant": variant},
-                   residuals, sample, _timings(t1 - t0, t2 - t1))
+                   1 if res else 0, [_sample(("trace",), res)] if res else [],
+                   _timings(t1 - t0, 0))
 
 
 def _det_row(ctx, top, kind, row):
@@ -444,47 +450,33 @@ def _det_row(ctx, top, kind, row):
     m = top.k
     order = range(1, m + 1) if kind == "m" else range(m, 0, -1)
     return _through(ctx, [row], top.factors,
-                    _word([(kind, i) for i in order]), m)[0]
+                    _word([(kind, i) for i in order]))[0]
 
 
-def _det_forms(ctx, top, kind):
-    """Both forms of a quantum determinant, read off the one row
-    v.M1...Mm (or v.Dm...D1) for A^(m) = u v (top, as in _det_row): the
-    weighted trace Tr_R(u (x) row) q^(m^2) and the bra-ket row.u."""
+def _det(ctx, top, kind):
+    """det(M) (kind "m") or det(D) (kind "d") in canonical form, read off
+    the one row v.M1...Mm (or v.Dm...D1) for A^(m) = u v (top, as in
+    _det_row): the weighted trace Tr_R(u (x) row) q^(m^2), checked as it
+    stands against the bra-ket form row.u."""
     m = top.k
     (u,), (v,), (w,) = top.u, top.e, top.w
     row = _det_row(ctx, top, kind, v)
-    return _ket(row, w) * ctx.sym.q_config.qpow(m * m), _ket(row, u)
-
-
-def _det_poly(ctx, top, kind):
-    """Quantum determinant via the weighted-trace form, cross-checked
-    against the bra-ket form; the two must agree modulo the ideal."""
-    traced, usual = _det_forms(ctx, top, kind)
-    gap = ctx.reduce_poly(traced - usual, top.k)
-    if not gap.is_zero():
+    traced = _ket(row, w) * ctx.sym.q_config.qpow(m * m)
+    gap = traced - _ket(row, u)
+    if gap:
         raise VerifyError(
             "determinant forms disagree for the %s side: %d residual words"
             % (kind, len(gap.terms)))
     return traced
 
 
-def det_r(ctx, top):
-    return _det_poly(ctx, top, "m")
-
-
-def det_rinv(ctx, top):
-    return _det_poly(ctx, top, "d")
-
-
 def _noncentral(ctx, z, kind):
     """(generator, residual) for each generator x of the given kind with
     z x - x z nonzero modulo the ideal."""
-    degree = 1 + max(len(w) for w in z.terms)
     out = []
     for row in gen_matrix(kind, ctx.sym.N).rows:
         for x in row:
-            gap = ctx.reduce_poly(z * x - x * z, degree)
+            gap = ctx.reduce_poly(z * x - x * z)
             if not gap.is_zero():
                 out.append((next(iter(x.terms)), gap))
     return out
@@ -498,7 +490,7 @@ def verify_determinants(ctx):
     t0 = time.perf_counter()
     top = ProjectorIdentity(sym, sym.rank)
     try:
-        dets = {"m": det_r(ctx, top), "d": det_rinv(ctx, top)}
+        dets = {kind: _det(ctx, top, kind) for kind in "md"}
     except VerifyError as e:
         return _report(ctx, "det-forms", {"N": sym.N, "m": sym.rank}, 1,
                        [{"entry": ["forms"], "terms": [[str(e), "1"]]}],
@@ -518,17 +510,13 @@ def verify_determinants(ctx):
 def _cap1_sides(ctx, top):
     """Both sides of cap1 in canonical form, and det(D), for top the
     ProjectorIdentity of A^(m) at the top rank m.  The left side
-    Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) is Tr_R(U.(E.LHS)) contracted
-    on the rows of E: the trailing A^(m) of LHS is absorbed by the
-    R-trace, since C^(x)m commutes with A^(m).  The right side is
-    q^(-m) det(M) det(D)."""
-    m = top.k
-    lhs = 0
-    for row, w in zip(top.lhs(ctx, top.e), top.w):
-        lhs = lhs + _ket(row, w)
-    dd = det_rinv(ctx, top)
-    rhs = ctx.reduce_poly(
-        (det_r(ctx, top) * dd) * ctx.sym.q_config.qpow(-m), m)
+    Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) is _traced P.LHS: C^(x)m
+    commutes with A^(m), so the R-trace absorbs the trailing A^(m).  The
+    right side q^(-m) det(M) det(D) is canonical as it stands: each word
+    is an irreducible position word then an irreducible derivative word."""
+    lhs = _traced(ctx, top, rhs=False)
+    dd = _det(ctx, top, "d")
+    rhs = (_det(ctx, top, "m") * dd) * ctx.sym.q_config.qpow(-top.k)
     return lhs, rhs, dd
 
 
@@ -541,21 +529,18 @@ def verify_cap1(ctx):
     top = ProjectorIdentity(sym, m)
     lhs, rhs, dd = _cap1_sides(ctx, top)
     # det(D) det(M) with det(M) in its bra-ket form v.M1...Mm.u, which
-    # _det_poly checked against the traced form: det(D) is folded into
-    # the row v one factor at a time
+    # _det checked against the traced form: det(D) is folded into the
+    # row v one factor at a time, and the result is canonical
     (u,), (v,) = top.u, top.e
     reversed_rhs = _ket(
         _det_row(ctx, top, "m", [dd * x if x else 0 for x in v]), u)
     t1 = time.perf_counter()
     res = lhs - rhs
-    reversed_res = lhs - ctx.reduce_poly(
-        reversed_rhs * sym.q_config.qpow(-m), m)
-    t2 = time.perf_counter()
-    residuals = 0 if res.is_zero() else 1
-    sample = [] if res.is_zero() else [_sample(("trace",), res)]
-    details = {"reversed_order": "pass" if reversed_res.is_zero() else "fail"}
-    return _report(ctx, "cap1", {"N": sym.N, "m": m}, residuals, sample,
-                   _timings(t1 - t0, t2 - t1), details)
+    reversed_res = lhs - reversed_rhs * sym.q_config.qpow(-m)
+    details = {"reversed_order": "fail" if reversed_res else "pass"}
+    return _report(ctx, "cap1", {"N": sym.N, "m": m}, 1 if res else 0,
+                   [_sample(("trace",), res)] if res else [],
+                   _timings(t1 - t0, 0), details)
 
 
 def verify_mre(ctx):
@@ -571,8 +556,7 @@ def verify_mre(ctx):
         lr = l1 * r
         return rl * r * l1 - lr * l1 * r - (rl - lr)
 
-    return _verify_dense(ctx, "mre", {"N": sym.N}, _reducer(ctx, 2),
-                         assemble)
+    return _verify_dense(ctx, "mre", {"N": sym.N}, ctx.reduce_poly, assemble)
 
 
 def verify_re_ideal(ctx):
@@ -612,7 +596,7 @@ def verify_h_copy(ctx, p):
         return f[p] * pair - pair * f[p]
 
     return _verify_dense(ctx, "h-copy", {"N": sym.N, "p": p},
-                         _reducer(ctx, 2), assemble)
+                         ctx.reduce_poly, assemble)
 
 
 def verify_consum(ctx, k):
@@ -666,14 +650,26 @@ def verify_exchange_general(ctx, p, k):
         return dp * lk - (lk * dp * c2 + dp * c1)
 
     return _verify_dense(ctx, "exchange-general",
-                         {"N": sym.N, "p": p, "k": k}, _reducer(ctx, 2),
+                         {"N": sym.N, "p": p, "k": k}, ctx.reduce_poly,
                          assemble)
 
 
+def _wrong_shifts(cfg, correct):
+    """Three final shifts other than correct and each other: 0, 1 and q^2
+    where they are distinct, else the next of correct + 1, + 2, + 3."""
+    out = []
+    for alpha in itertools.chain((cfg.zero(), cfg.one(), cfg.qpow(2)),
+                                 (correct + i for i in (1, 2, 3))):
+        if alpha != correct and alpha not in out:
+            out.append(alpha)
+            if len(out) == 3:
+                return out
+
+
 def verify_shift_scan(ctx, k):
-    """Negative control: every wrong final shift (0, 1 and q^2) must leave
-    a residual, and the correct one must not.  k >= 2, since k = 1 has no
-    shift."""
+    """Negative control: every wrong final shift (_wrong_shifts) must
+    leave a residual, and the correct one must not.  k >= 2, since k = 1
+    has no shift."""
     if k < 2:
         raise VerifyError("shift-scan needs k >= 2, got %d" % (k,))
     cfg = ctx.sym.q_config
@@ -681,16 +677,12 @@ def verify_shift_scan(ctx, k):
     t0 = time.perf_counter()
     outcomes = []
     ok = True
-    for alpha in (cfg.zero(), cfg.one(), cfg.qpow(2)):
+    for alpha in _wrong_shifts(cfg, correct):
         rep = verify_matrix_identity(ctx, k, "column", alpha=alpha)
-        wrong_killed = rep.passed() and alpha != correct
         outcomes.append({"alpha": scalar_to_text(alpha),
                          "residuals": rep.residual_entries})
-        if wrong_killed:
-            ok = False
-    base = verify_matrix_identity(ctx, k, "column")
-    if not base.passed():
-        ok = False
+        ok = ok and not rep.passed()
+    ok = ok and verify_matrix_identity(ctx, k, "column").passed()
     t1 = time.perf_counter()
     residuals = 0 if ok else 1
     return _report(ctx, "shift-scan", {"N": ctx.sym.N, "k": k}, residuals,

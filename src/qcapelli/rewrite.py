@@ -139,6 +139,16 @@ class Rewriter:
         return out
 
 
+def _permutation_relation(sym):
+    """D1, R M1 and the right side R M1 R^(-1) D1 R^(-1) + I of the
+    permutation relation D1 (R M1) = R M1 R^(-1) D1 R^(-1) + I on two
+    legs, each built once."""
+    N = sym.N
+    d1 = embed(gen_matrix("d", N), 1, 2)
+    rm1 = sym.R * embed(gen_matrix("m", N), 1, 2)
+    return d1, rm1, (rm1 * sym.R_inv * d1 * sym.R_inv).shifted(1)
+
+
 def derive_exchange(sym):
     """Solve the permutation relation for every generator pair: the
     Rewriter taking each word 'dM' to its normal-ordered form, a sum of
@@ -150,10 +160,8 @@ def derive_exchange(sym):
     the rule for d_a^x m_u^e is Psi[(f,u)][(c,x)].
     """
     N = sym.N
-    R, Rinv, psi = sym.R, sym.R_inv, sym.skew.psi
-    m1 = embed(gen_matrix("m", N), 1, 2)
-    d1 = embed(gen_matrix("d", N), 1, 2)
-    rhs = (R * m1 * Rinv * d1 * Rinv).shifted(1)
+    psi = sym.skew.psi
+    rhs = _permutation_relation(sym)[2]
 
     rules = {}
     for a in range(N):
@@ -179,12 +187,8 @@ def derive_exchange(sym):
 
 def exchange_round_trip_ok(sym, table):
     """Rebuild both sides of the permutation relation through the table."""
-    N = sym.N
-    m1 = embed(gen_matrix("m", N), 1, 2)
-    d1 = embed(gen_matrix("d", N), 1, 2)
-    lhs = d1 * (sym.R * m1)
-    rhs = (sym.R * m1 * sym.R_inv * d1 * sym.R_inv).shifted(1)
-    for lrow, rrow in zip(lhs.rows, rhs.rows):
+    d1, rm1, rhs = _permutation_relation(sym)
+    for lrow, rrow in zip((d1 * rm1).rows, rhs.rows):
         for v, want in zip(lrow, rrow):
             if (normal_order(v, table) if v else 0) != want:
                 return False
@@ -410,16 +414,18 @@ def reduce(x, sys_m, sys_d, table):
     segment to its ideal normal form.  Words are grouped by their position
     prefix, so each prefix's normal form multiplies the reduced sum of
     its derivative suffixes once; under an irreducible prefix that sum is
-    merged as it is.  Input must fit the degree caps."""
-    md, dd = _max_degrees(x)
-    if md > sys_m.degree or dd > sys_d.degree:
-        raise DegreeCapError(
-            "degrees (%d, %d) exceed the completed caps (%d, %d)"
-            % (md, dd, sys_m.degree, sys_d.degree))
+    merged as it is.  Every ordered word must fit the degree caps: its
+    prefix that of sys_m, its suffix that of sys_d."""
+    cap_m, cap_d = sys_m.degree, sys_d.degree
     suffixes = {}
     for w, c in normal_order(x, table).terms.items():
         t = w.lstrip(POSITION_LETTERS)
-        suffixes.setdefault(w[:len(w) - len(t)], {})[t] = c
+        prefix = w[:len(w) - len(t)]
+        if len(prefix) > cap_m or len(t) > cap_d:
+            raise DegreeCapError(
+                "degrees (%d, %d) of %r exceed the completed caps (%d, %d)"
+                % (len(prefix), len(t), w, cap_m, cap_d))
+        suffixes.setdefault(prefix, {})[t] = c
     out = {}
     for prefix, terms in suffixes.items():
         tail = sys_d.nf_terms(terms)
@@ -434,11 +440,12 @@ def reduce(x, sys_m, sys_d, table):
     return NCPoly._raw(out)
 
 
-def _max_degrees(x):
+def max_degrees(x):
+    """The most position and the most derivative letters in one word of
+    x, in one pass over its words."""
     md = dd = 0
     for w in x.terms:
         m = sum(1 for ch in w if ch < "a")
         md = max(md, m)
         dd = max(dd, len(w) - m)
     return md, dd
-

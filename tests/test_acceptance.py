@@ -9,8 +9,8 @@ import os
 
 import pytest
 
-from qcapelli import suites
-from qcapelli.qlinalg import QMatrix
+from qcapelli import rcatalog, suites
+from qcapelli.qlinalg import QMatrix, RankError, RankReport
 
 # Ten times the slowest of four runs of each criterion alone on a 2-core
 # VM (Python 3.11.7), rounded up to whole seconds, at least 5 s.
@@ -30,6 +30,29 @@ def _run(number, fn):
 
 def test_criterion_01_braiding_validation():
     _run(1, suites.crit_1)
+
+
+def _refuse(*args):
+    raise RankError("refused")
+
+
+@pytest.mark.parametrize("gate,patches", [
+    ("braid", {"check_braid": lambda R: True}),
+    # past the Hecke gate, the flip at q = 3/5 has a tower that never
+    # vanishes; the refusing probe turns it away quickly, as "rank"
+    ("hecke", {"check_hecke": lambda R, cfg: True, "rank_of": _refuse}),
+    ("rank", {"rank_of": lambda antisym, N: RankReport(1, [N])})])
+def test_criterion_01_fails_when_a_gate_lets_its_control_through(
+        monkeypatch, gate, patches):
+    # build the catalog symmetries first, through the unpatched gates
+    for label in ("dj1", "dj2q", "dj3q", "flip2"):
+        suites._sym(label)
+    for name, fn in patches.items():
+        monkeypatch.setattr(rcatalog, name, fn)
+    res = suites.crit_1()
+    failed = [name for name, good in res.checks if not good]
+    assert not res.ok
+    assert [name.split()[-2] for name in failed] == [gate]
 
 
 def test_criterion_02_projector_suite():

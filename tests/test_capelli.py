@@ -12,18 +12,18 @@ from qcapelli.capelli import (
     VerifyError,
     _cap1_sides,
     _copy_factors,
-    _det_forms,
+    _det,
     _det_row,
+    _ket,
     _lift,
     _noncentral,
     _product,
-    _reduce_matrix,
-    _reducer,
     _report,
+    _residuals,
+    _traced,
     _verify_dense,
     _word,
-    det_r,
-    det_rinv,
+    _wrong_shifts,
     rigor_bound,
     shift_value,
     theorem_sides,
@@ -99,7 +99,7 @@ def verify_matr_id(ctx):
     lhs = proj * chain
     rhs = proj.scale(scalar)
     t1 = time.perf_counter()
-    residuals, sample = _reduce_matrix((lhs - rhs).rows, _reducer(ctx, m))
+    residuals, sample = _residuals(_canonical(ctx, (lhs - rhs).rows))
     t2 = time.perf_counter()
     return _report(ctx, "matr-id", {"N": sym.N, "m": m}, residuals, sample,
                    {"build": round(1000 * (t1 - t0), 3),
@@ -238,8 +238,12 @@ def unreduced_sides(sym, k, variant="column", alpha=None):
     return u, lhs, through(rhs, mcop + dcop[::-1])
 
 
-def _reduced_diff(ctx, k, lhs, rhs):
-    return [[ctx.reduce_poly(a - b, k) for a, b in zip(ra, rb)]
+def _canonical(ctx, rows):
+    return [[ctx.reduce_poly(v) if v else 0 for v in row] for row in rows]
+
+
+def _reduced_diff(ctx, lhs, rhs):
+    return [[ctx.reduce_poly(a - b) for a, b in zip(ra, rb)]
             for ra, rb in zip(lhs, rhs)]
 
 
@@ -261,9 +265,9 @@ def test_canonical_sides_match_the_unreduced_reference(label, k, variant,
     if alpha is not None:
         alpha = sym.q_config.parse(alpha)
     u, lhs, rhs = unreduced_sides(sym, k, variant, alpha)
-    want = _reduced_diff(ctx, k, lhs, rhs)
+    want = _reduced_diff(ctx, lhs, rhs)
     ident = ProjectorIdentity(sym, k, variant, alpha)
-    got = _reduced_diff(ctx, k, *theorem_sides(ctx, ident, ident.e))
+    got = _reduced_diff(ctx, *theorem_sides(ctx, ident, ident.e))
     assert ident.u == u
     assert got == want
     assert sum(1 for row in got for v in row if v) == nonzero
@@ -273,9 +277,8 @@ def test_row_at_a_time_report_matches_the_unreduced_reference():
     ctx = ctx_for("dj3q")
     alpha = ctx.sym.q_config.parse("7/2")
     u, lhs, rhs = unreduced_sides(ctx.sym, 2, "row", alpha)
-    residuals, sample = _reduce_matrix(
-        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)],
-        _reducer(ctx, 2))
+    residuals, sample = _residuals(_canonical(
+        ctx, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]))
     rep = verify_matrix_identity(ctx, 2, "row", alpha)
     assert not rep.passed()
     assert rep.residual_entries == residuals == 39
@@ -283,13 +286,12 @@ def test_row_at_a_time_report_matches_the_unreduced_reference():
     assert rep.details["projector_rank"] == len(u)
 
 
-def dense_through(ctx, block, mats, degree):
+def dense_through(ctx, block, mats):
     """Reference: block.X1...Xn over dense matrices, reduced after every
     factor, as the sides were assembled over matrix_copies before the
     braided copies were factored into R-legs around X1."""
     for x in mats:
-        block = [[ctx.reduce_poly(v, degree) if v else 0 for v in row]
-                 for row in rows_times(block, x.rows, x.dim)]
+        block = _canonical(ctx, rows_times(block, x.rows, x.dim))
     return block
 
 
@@ -299,14 +301,14 @@ def dense_sides(ctx, ident, rows):
     k = ident.k
     mcop = matrix_copies(ctx.sym, "m", k)
     dcop = matrix_copies(ctx.sym, "d", k)
-    lhs = dense_through(ctx, rows, mcop[:1] + dcop[:1], k)
+    lhs = dense_through(ctx, rows, mcop[:1] + dcop[:1])
     for m, d, s in zip(mcop[1:], dcop[1:], ident.shifts):
-        moved = dense_through(ctx, lhs, [m, d], k)
+        moved = dense_through(ctx, lhs, [m, d])
         lhs = [[a + s * b if b else a for a, b in zip(ra, rb)]
                for ra, rb in zip(moved, lhs)]
     lhs = rows_times(lhs, ident.proj.rows, ident.proj.dim)
     rhs = [[ident.c * v if v else 0 for v in row] for row in rows]
-    return lhs, dense_through(ctx, rhs, mcop + dcop[::-1], k)
+    return lhs, dense_through(ctx, rhs, mcop + dcop[::-1])
 
 
 def _terms(block):
@@ -347,13 +349,13 @@ def test_determinant_rows_match_the_dense_copies(label):
     (v,) = top.e
     # a row of scalars, and a row of canonical polynomials of the other
     # kind, as cap1 folds det(D) into v.M1...Mm
-    other = {"m": det_rinv(ctx, top), "d": det_r(ctx, top)}
+    other = {"m": _det(ctx, top, "d"), "d": _det(ctx, top, "m")}
     for kind in ("m", "d"):
         copies = matrix_copies(sym, kind, m)
         if kind == "d":
             copies.reverse()
         for row in (v, [other[kind] * x if x else 0 for x in v]):
-            want = dense_through(ctx, [row], copies, m)
+            want = dense_through(ctx, [row], copies)
             assert _terms([_det_row(ctx, top, kind, row)]) == _terms(want)
 
 
@@ -389,9 +391,9 @@ def full_sides(sym, k, variant="column", alpha=None):
     return lhs, (proj * chain).scale(cfg.qpow(sign * k * (k - 1)))
 
 
-# dj(2) symbolic k=3 row costs about two minutes in the full reference
+# dj(2) symbolic k=3 row costs about 9 s in the full reference
 STRETCH = pytest.mark.skipif(not os.environ.get("QCAPELLI_STRETCH"),
-                             reason="about two minutes; set QCAPELLI_STRETCH=1")
+                             reason="about 9 s; set QCAPELLI_STRETCH=1")
 BLOCK_CASES = ([("dj2", 2, v, None) for v in ("column", "row")]
                + [("dj2", 3, "column", None),
                   pytest.param("dj2", 3, "row", None, marks=STRETCH),
@@ -408,10 +410,10 @@ def test_row_block_matches_the_full_residual(label, k, variant, alpha):
     if alpha is not None:
         alpha = sym.q_config.parse(alpha)
     lhs, rhs = full_sides(sym, k, variant, alpha)
-    full = [[ctx.reduce_poly(v, k) for v in row] for row in (lhs - rhs).rows]
+    full = [[ctx.reduce_poly(v) for v in row] for row in (lhs - rhs).rows]
     ident = ProjectorIdentity(sym, k, variant, alpha)
     e = ident.e
-    block = _reduced_diff(ctx, k, *theorem_sides(ctx, ident, e))
+    block = _reduced_diff(ctx, *theorem_sides(ctx, ident, e))
     assert block == rows_times(e, full, lhs.dim)
     assert _lift(ident.u, block, sym.N, k).rows == full
     full_pass = all(v.is_zero() for row in full for v in row)
@@ -430,15 +432,14 @@ def test_row_block_scalars_match_the_full_products(label):
     top = ProjectorIdentity(sym, m)
     # Tr_R(A^(m) L1 (L2 + s2) ... (Lm + sm)) with dim x dim products
     assert _cap1_sides(ctx, top)[0] == ctx.reduce_poly(
-        sym.r_trace(full_chain(sym, m)), m)
+        sym.r_trace(full_chain(sym, m)))
     proj = sym.antisym(m)
     (u,), (v,) = rank_factor(proj)
     for kind in ("m", "d"):
         chain = _det_chain(sym, kind)
         traced = sym.r_trace(proj * chain) * cfg.qpow(m * m)
-        assert _det_forms(ctx, top, kind) == (ctx.reduce_poly(traced, m),
-                                              ctx.reduce_poly(
-                                                  _bra_ket(v, chain, u), m))
+        assert _det(ctx, top, kind) == ctx.reduce_poly(traced)
+        assert _det(ctx, top, kind) == ctx.reduce_poly(_bra_ket(v, chain, u))
 
 
 def _holds_poly(x):
@@ -473,7 +474,56 @@ def test_shift_scan_control():
     rep = verify_shift_scan(ctx_for("dj2"), 2)
     assert rep.passed()
     assert scalar_to_text(dj(2).q_config.q()) == rep.details["correct_alpha"]
+    assert [o["alpha"] for o in rep.details["alphas"]] == ["0", "1", "q^2"]
     assert all(o["residuals"] > 0 for o in rep.details["alphas"])
+
+
+@pytest.mark.parametrize("N,k,correct,alphas", [(2, 2, "1", ["0", "2", "3"]),
+                                                (3, 3, "2", ["0", "1", "3"])])
+def test_shift_scan_runs_three_distinct_wrong_shifts_at_q_1(N, k, correct,
+                                                            alphas):
+    # at q = 1, 1 and q^2 coincide, and at k = 2 both equal the correct
+    # shift 1: each coincidence is replaced by the next free value
+    rep = verify_shift_scan(RewriteContext(flip(N)), k)
+    assert rep.passed()
+    assert rep.details["correct_alpha"] == correct
+    assert [o["alpha"] for o in rep.details["alphas"]] == alphas
+    assert all(o["residuals"] > 0 for o in rep.details["alphas"])
+
+
+def test_wrong_shifts_are_distinct_from_the_correct_one():
+    cfg = QConfig.fixed(1, allow_unit=True)
+    for correct in range(-2, 5):
+        wrong = _wrong_shifts(cfg, Fraction(correct))
+        assert len(set(wrong)) == 3 and correct not in wrong
+
+
+@pytest.mark.parametrize("label", ["dj2", "dj3q"])
+def test_reduce_poly_leaves_canonical_values_unchanged(label):
+    ctx = ctx_for(label)
+    sym = ctx.sym
+    cfg = sym.q_config
+    k = 2
+    for alpha in _wrong_shifts(cfg, shift_value(cfg, k, "column")):
+        ident = ProjectorIdentity(sym, k, "column", alpha)
+        # the residual rows of the wrong-shift control
+        lhs, rhs = theorem_sides(ctx, ident, ident.e)
+        rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+        assert any(v for row in rows for v in row)
+        assert _canonical(ctx, rows) == rows
+        # its traced difference
+        traced = _traced(ctx, ident)
+        assert traced and ctx.reduce_poly(traced) == traced
+    # cap1's right side and its reversed-order value
+    m = sym.rank
+    top = ProjectorIdentity(sym, m)
+    lhs, rhs, dd = _cap1_sides(ctx, top)
+    assert ctx.reduce_poly(rhs) == rhs
+    (u,), (v,) = top.u, top.e
+    swapped = _ket(_det_row(ctx, top, "m", [dd * x if x else 0 for x in v]),
+                   u) * cfg.qpow(-m)
+    assert ctx.reduce_poly(swapped) == swapped
+    assert ctx.reduce_poly(lhs - swapped) == lhs - swapped
 
 
 @pytest.mark.parametrize("variant", ["column", "row"])
@@ -508,9 +558,11 @@ def test_centrality_check_catches_a_noncentral_element(monkeypatch):
     cfg = ctx.sym.q_config
     m12 = NCPoly.from_word(m_char(1, 2, 2), cfg.one())
     top = ProjectorIdentity(ctx.sym, ctx.sym.rank)
-    assert not _noncentral(ctx, det_r(ctx, top), "m")
+    assert not _noncentral(ctx, _det(ctx, top, "m"), "m")
     assert _noncentral(ctx, m12, "m")
-    monkeypatch.setattr(capelli, "det_r", lambda ctx, top: m12)
+    det = capelli._det
+    monkeypatch.setattr(capelli, "_det", lambda ctx, top, kind:
+                        m12 if kind == "m" else det(ctx, top, kind))
     rep = verify_determinants(ctx)
     assert not rep.passed()
     assert rep.details["forms_agree"] == "pass"
@@ -581,7 +633,7 @@ def test_mre_needs_its_linear_term(label, nonzero):
         r, l1 = f[1], f["m"] * f["d"]
         return r * l1 * r * l1 - l1 * r * l1 * r
 
-    rep = _verify_dense(ctx, "mre", {"N": ctx.sym.N}, _reducer(ctx, 2),
+    rep = _verify_dense(ctx, "mre", {"N": ctx.sym.N}, ctx.reduce_poly,
                         assemble)
     assert rep.residual_entries == nonzero
 
@@ -602,7 +654,7 @@ def test_h_copy_needs_its_braiding_leg(p, braid, nonzero):
         pair = _product(f, _word([("m", p), ("m", p + 1)]))
         return f[braid] * pair - pair * f[braid]
 
-    rep = _verify_dense(ctx, "h-copy", {"N": 2, "p": p}, _reducer(ctx, 2),
+    rep = _verify_dense(ctx, "h-copy", {"N": 2, "p": p}, ctx.reduce_poly,
                         assemble)
     assert rep.residual_entries == nonzero
 
@@ -701,8 +753,8 @@ def test_rank_one_closed_forms():
     ctx = ctx_for("dj1")
     cfg = ctx.sym.q_config
     top = ProjectorIdentity(ctx.sym, 1)
-    assert det_r(ctx, top).terms == {"A": cfg.one()}
-    assert det_rinv(ctx, top).terms == {"a": cfg.one()}
+    assert _det(ctx, top, "m").terms == {"A": cfg.one()}
+    assert _det(ctx, top, "d").terms == {"a": cfg.one()}
     assert e_k(ctx.sym, 1).terms == {"A": cfg.qpow(-1)}
     rep = verify_cap1(ctx)
     assert rep.passed()
@@ -712,7 +764,7 @@ def test_e_k_top_matches_determinant():
     ctx = ctx_for("dj2")
     cfg = ctx.sym.q_config
     top = e_k(ctx.sym, 2) * cfg.qpow(4)
-    gap = ctx.reduce_poly(top - det_r(ctx, ProjectorIdentity(ctx.sym, 2)), 2)
+    gap = ctx.reduce_poly(top - _det(ctx, ProjectorIdentity(ctx.sym, 2), "m"))
     assert gap.is_zero()
 
 
@@ -740,6 +792,17 @@ def test_context_degree_cap():
     ctx = RewriteContext(dj(1), max_degree=2)
     with pytest.raises(DegreeCapError):
         ctx.system("m", 3)
+    with pytest.raises(DegreeCapError):
+        ctx.reduce_poly(NCPoly.from_word("AAA"))
+
+
+def test_reduce_poly_completes_each_system_to_its_input_degree():
+    ctx = RewriteContext(dj(2))
+    a, b = m_char(1, 1, 2), m_char(1, 2, 2)
+    x = NCPoly.from_word(b + a + a) + NCPoly.from_word(a.lower())
+    assert ctx.reduce_poly(x) == ctx.reduce_poly(ctx.reduce_poly(x))
+    assert ctx.system("m", 0).degree == 3
+    assert ctx.system("d", 0).degree == 2
 
 
 def test_context_derives_each_rule_table_once(monkeypatch):

@@ -258,7 +258,7 @@ def test_crash_in_a_suite_check_is_not_a_verdict(monkeypatch):
     def broken(*args):
         raise TypeError("boom")
 
-    monkeypatch.setattr(suites, "skew_inverse", broken)
+    monkeypatch.setattr(suites, "validate_symmetry", broken)
     code, text = run(["suite", "full"])
     assert code == EXIT_INTERNAL
     assert "internal error: TypeError: boom" in text

@@ -91,9 +91,9 @@ def test_shifted_zero_diagonal_reduces():
     X.rows[0][0] = 0
     Y = X.shifted(q)
     assert Y.rows[0][0] == q  # a bare scalar entry
-    assert ctx.reduce_poly(Y.rows[0][0], 1) == NCPoly.from_word("", q)
-    assert ctx.reduce_poly(Y.rows[1][1], 1) == X.rows[1][1] + q
-    assert ctx.reduce_poly(0, 1).is_zero()
+    assert ctx.reduce_poly(Y.rows[0][0]) == NCPoly.from_word("", q)
+    assert ctx.reduce_poly(Y.rows[1][1]) == X.rows[1][1] + q
+    assert ctx.reduce_poly(0).is_zero()
 
 
 def test_embed_disjoint_legs_commute():

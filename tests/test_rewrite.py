@@ -21,12 +21,12 @@ from qcapelli.rewrite import (
     CapacityError,
     DegreeCapError,
     Rewriter,
-    _max_degrees,
     complete,
     derive_dd_rules,
     derive_exchange,
     derive_re_rules,
     exchange_round_trip_ok,
+    max_degrees,
     normal_order,
     reduce,
 )
@@ -424,8 +424,28 @@ def test_grouped_reduce_matches_the_per_term_reference(N, q, count):
 
 def test_max_degrees():
     p = NCPoly.from_word("AAb") + NCPoly.from_word("aab")
-    assert _max_degrees(p) == (2, 3)
-    assert _max_degrees(NCPoly.zero()) == (0, 0)
+    assert max_degrees(p) == (2, 3)
+    assert max_degrees(NCPoly.zero()) == (0, 0)
+
+
+@pytest.mark.parametrize("N,q", [(2, None), (3, "3/5")])
+def test_normal_forms_do_not_depend_on_the_completion_degree(N, q):
+    # homogeneous rules: the rules no longer than j, and with them the
+    # normal form of a word of degree j, are the same at every cap >= j
+    sym = dj(N) if q is None else dj(N, QConfig.fixed(q))
+    table = derive_exchange(sym)
+    rules = {"m": derive_re_rules(sym), "d": derive_dd_rules(sym)}
+    systems = {d: [complete(rules[kind], d) for kind in "md"] for d in (2, 3)}
+    letters = {kind: [char(i, j, N) for i in range(1, N + 1)
+                      for j in range(1, N + 1)]
+               for kind, char in (("m", m_char), ("d", d_char))}
+    rng = random.Random(25)
+    for _ in range(150):
+        word = ([rng.choice(letters["m"]) for _ in range(rng.randint(0, 2))]
+                + [rng.choice(letters["d"]) for _ in range(rng.randint(0, 2))])
+        rng.shuffle(word)
+        x = NCPoly.from_word("".join(word))
+        assert reduce(x, *systems[2], table) == reduce(x, *systems[3], table)
 
 
 def test_reduce_degree_cap():

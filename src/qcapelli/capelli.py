@@ -96,13 +96,15 @@ class RewriteContext:
     systems, built lazily and grown monotonically in degree from the
     degree-2 rule tables, which are derived once per kind.
     specialization_guard is how the rank guard ended when the rules were
-    derived ("not run" until they are)."""
+    derived ("not run" until they are); reduce_s adds up the seconds
+    spent in reduce_poly, completion included."""
 
     def __init__(self, sym, rule_cap=4000, max_degree=12):
         self.sym = sym
         self.rule_cap = rule_cap
         self.max_degree = max_degree
         self.specialization_guard = "not run"
+        self.reduce_s = 0.0
         self._table = None
         self._rules = {}
         self._systems = {}
@@ -141,11 +143,14 @@ class RewriteContext:
         degree of its kind's letters in x (the rules are homogeneous, so a
         word's normal form is the same at every degree from its own up);
         a bare scalar or the zero 0 is lifted to an NCPoly."""
+        t = time.perf_counter()
         if not isinstance(x, NCPoly):
             x = NCPoly.from_word("", x)
         md, dd = max_degrees(x)
-        return reduce(x, self.system("m", md), self.system("d", dd),
-                      self.table)
+        out = reduce(x, self.system("m", md), self.system("d", dd),
+                     self.table)
+        self.reduce_s += time.perf_counter() - t
+        return out
 
     def q_points(self):
         cfg = self.sym.q_config
@@ -198,7 +203,12 @@ def _report(ctx, identity, params, residuals, sample, timings, details=None):
     )
 
 
-def _timings(build, reduction):
+def _timings(ctx, t0, reduce0):
+    """Milliseconds since the perf_counter reading t0: "reduction" is the
+    time ctx spent in reduce_poly since its reduce_s read reduce0, and
+    "build" the rest."""
+    reduction = ctx.reduce_s - reduce0
+    build = time.perf_counter() - t0 - reduction
     return {"build": round(1000 * build, 3),
             "reduction": round(1000 * reduction, 3)}
 
@@ -207,14 +217,12 @@ def _verify_dense(ctx, identity, params, canon, assemble):
     """The one path of the identities stated on whole dim x dim matrices:
     assemble() builds the difference of the two sides, and canon brings
     each nonzero entry to canonical form."""
-    t0 = time.perf_counter()
+    t0, r0 = time.perf_counter(), ctx.reduce_s
     diff = assemble()
-    t1 = time.perf_counter()
     residuals, sample = _residuals([canon(v) if v else 0 for v in row]
                                    for row in diff.rows)
-    t2 = time.perf_counter()
     return _report(ctx, identity, params, residuals, sample,
-                   _timings(t1 - t0, t2 - t1))
+                   _timings(ctx, t0, r0))
 
 
 def shift_value(cfg, i, variant):
@@ -393,25 +401,20 @@ def verify_matrix_identity(ctx, k, variant="column", alpha=None):
     before the next row.  details["projector_rank"] is r."""
     sym = ctx.sym
     ctx.capped(k)
-    t0 = time.perf_counter()
+    t0, r0 = time.perf_counter(), ctx.reduce_s
     ident = ProjectorIdentity(sym, k, variant, alpha)
-    build = time.perf_counter() - t0
 
     def diff_rows():
-        nonlocal build
         for row in ident.e:
-            t = time.perf_counter()
             (lhs,), (rhs,) = theorem_sides(ctx, ident, [row])
-            build += time.perf_counter() - t
             yield [a - b for a, b in zip(lhs, rhs)]
 
     residuals, sample = _residuals(diff_rows())
-    total = time.perf_counter() - t0
     params = {"N": sym.N, "k": k, "variant": variant}
     if alpha is not None:
         params["alpha"] = scalar_to_text(alpha)
     return _report(ctx, "th" if variant == "column" else "th-s", params,
-                   residuals, sample, _timings(build, total - build),
+                   residuals, sample, _timings(ctx, t0, r0),
                    {"projector_rank": len(ident.u)})
 
 
@@ -433,14 +436,13 @@ def verify_traced(ctx, k, variant="column"):
     """The canonical R-trace of P.(LHS - RHS) (_traced) against zero."""
     sym = ctx.sym
     ctx.capped(k)
-    t0 = time.perf_counter()
+    t0, r0 = time.perf_counter(), ctx.reduce_s
     ident = ProjectorIdentity(sym, k, variant)
     res = _traced(ctx, ident)
-    t1 = time.perf_counter()
     name = "cap-as" if variant == "column" else "cap-s"
     return _report(ctx, name, {"N": sym.N, "k": k, "variant": variant},
                    1 if res else 0, [_sample(("trace",), res)] if res else [],
-                   _timings(t1 - t0, 0))
+                   _timings(ctx, t0, r0))
 
 
 def _det_row(ctx, top, kind, row):
@@ -525,7 +527,7 @@ def verify_cap1(ctx):
     in the printed order; the reversed order is recorded, not asserted."""
     sym = ctx.sym
     m = sym.rank
-    t0 = time.perf_counter()
+    t0, r0 = time.perf_counter(), ctx.reduce_s
     top = ProjectorIdentity(sym, m)
     lhs, rhs, dd = _cap1_sides(ctx, top)
     # det(D) det(M) with det(M) in its bra-ket form v.M1...Mm.u, which
@@ -534,13 +536,12 @@ def verify_cap1(ctx):
     (u,), (v,) = top.u, top.e
     reversed_rhs = _ket(
         _det_row(ctx, top, "m", [dd * x if x else 0 for x in v]), u)
-    t1 = time.perf_counter()
     res = lhs - rhs
     reversed_res = lhs - reversed_rhs * sym.q_config.qpow(-m)
     details = {"reversed_order": "fail" if reversed_res else "pass"}
     return _report(ctx, "cap1", {"N": sym.N, "m": m}, 1 if res else 0,
                    [_sample(("trace",), res)] if res else [],
-                   _timings(t1 - t0, 0), details)
+                   _timings(ctx, t0, r0), details)
 
 
 def verify_mre(ctx):

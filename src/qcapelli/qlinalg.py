@@ -2,7 +2,7 @@
 
 A QMatrix acts on p tensor legs; its composite indices flatten the leg
 tuple (i_1, ..., i_p) big-endian: r = sum (i_t - 1) N^(p-t).  Entries lie
-in any ring that multiplies with exact scalars on both sides: Fraction or
+in any ring that multiplies with exact scalars on both sides: Rat or
 RatQ scalars, or free-algebra polynomials (ncalg.NCPoly), mixed freely.
 The ints 0/1 are backend-neutral constants, 0 is every ring's zero and
 zero tests use truthiness.  Products keep the order of their factors;

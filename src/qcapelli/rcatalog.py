@@ -154,7 +154,7 @@ def flip(N):
     R = _zero_braiding(N, "flip")
     for a in range(N):
         for b in range(N):
-            R.rows[a * N + b][b * N + a] = Fraction(1)
+            R.rows[a * N + b][b * N + a] = cfg.one()
     return validate_symmetry(R, cfg, "flip(%d)" % N)
 
 

@@ -2,18 +2,23 @@
 
 Two interchangeable backends:
 
-* fixed: q is a concrete rational; scalars are ``fractions.Fraction``.
+* fixed: q is a concrete rational; scalars are ``Rat``, a subclass of
+  ``fractions.Fraction`` whose arithmetic skips Fraction's numeric-tower
+  dispatch.  ``QConfig`` is where every fixed-backend scalar comes from.
 * symbolic: scalars are rational functions of q with Laurent-polynomial
   numerators (class ``RatQ``), kept in a canonical form so equality is
   structural.
 
 Plain ints 0 and 1 are accepted anywhere as backend-neutral constants.
-Mixing a Fraction with a RatQ raises ``BackendMismatch``.
+Mixing a Fraction with a RatQ raises ``BackendMismatch``.  Plain
+``Fraction`` remains the coefficient type of ``LaurentPoly`` and of the
+Weyl oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class ScalarError(Exception):
@@ -32,6 +37,163 @@ class ScalarParseError(ScalarError):
 
 class ConfigError(ScalarError):
     pass
+
+
+# Rat reads and writes Fraction's two slots directly
+if Fraction.__slots__ != ("_numerator", "_denominator"):
+    raise ScalarError(
+        "fractions.Fraction has the slots %r, not the pair "
+        "('_numerator', '_denominator') that Rat reads and writes"
+        % (Fraction.__slots__,))
+
+
+def _rat(n, d):
+    # a Rat from n/d already in lowest terms with d > 0
+    r = object.__new__(Rat)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _sum(na, da, nb, db):
+    # na/da + nb/db in lowest terms (Knuth, TAOCP 2, 4.5.1): with
+    # g = gcd(da, db), only gcd(t, g) can divide the numerator t
+    g = gcd(da, db)
+    if g == 1:
+        return _rat(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
+
+
+def _prod(na, da, nb, db):
+    # (na/da)(nb/db) in lowest terms by cross-cancellation, for da, db > 0
+    g1 = gcd(na, db)
+    g2 = gcd(nb, da)
+    return _rat((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _parts(b):
+    # (numerator, denominator) of an int or Fraction operand, else None
+    tb = type(b)
+    if tb is Rat or tb is Fraction:
+        return b._numerator, b._denominator
+    if tb is int:
+        return b, 1
+    return None
+
+
+class Rat(Fraction):
+    """The fixed-backend scalar: a Fraction whose arithmetic with an int,
+    a Fraction or a Rat reads the two slots directly, cancels by Knuth's
+    gcds and builds its result without Fraction's constructor.  Every
+    result is a Rat in lowest terms with a positive denominator, so the
+    inherited equality, hashing, comparisons and str stay valid.  Any
+    other operand gets NotImplemented, so a ring element's reflected
+    operator or RatQ's mismatch check takes over."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        tb = type(b)
+        if tb is Rat or tb is Fraction:
+            return _sum(a._numerator, a._denominator,
+                        b._numerator, b._denominator)
+        if tb is int:
+            d = a._denominator
+            return _rat(a._numerator + b * d, d)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        p = _parts(b)
+        if p is None:
+            return NotImplemented
+        return _sum(a._numerator, a._denominator, -p[0], p[1])
+
+    def __rsub__(a, b):
+        p = _parts(b)
+        if p is None:
+            return NotImplemented
+        return _sum(p[0], p[1], -a._numerator, a._denominator)
+
+    def __mul__(a, b):
+        tb = type(b)
+        if tb is int:
+            if b == 1:
+                return a
+            n, d = a._numerator, a._denominator
+        elif tb is Rat or tb is Fraction:
+            na, da = a._numerator, a._denominator
+            nb, db = b._numerator, b._denominator
+            if db != 1:
+                if da != 1:
+                    return _prod(na, da, nb, db)
+                if na == 1 and tb is Rat:
+                    return b
+                n, d, b = nb, db, na
+            elif nb == 1:
+                return a
+            else:
+                n, d, b = na, da, nb
+        else:
+            return NotImplemented
+        # (n/d) times the int b
+        g = gcd(b, d)
+        if g == 1:
+            return _rat(n * b, d)
+        return _rat(n * (b // g), d // g)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        p = _parts(b)
+        if p is None:
+            return NotImplemented
+        nb, db = p
+        if not nb:
+            raise ZeroDivisionError("division of %s by zero" % (a,))
+        if nb < 0:
+            nb, db = -nb, -db
+        return _prod(a._numerator, a._denominator, db, nb)
+
+    def __rtruediv__(a, b):
+        p = _parts(b)
+        if p is None:
+            return NotImplemented
+        na, da = a._numerator, a._denominator
+        if not na:
+            raise ZeroDivisionError("division of %s by zero" % (b,))
+        if na < 0:
+            na, da = -na, -da
+        return _prod(p[0], p[1], da, na)
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __pow__(a, n):
+        if type(n) is not int:
+            return NotImplemented
+        num, den = a._numerator, a._denominator
+        if n >= 0:
+            return _rat(num ** n, den ** n)
+        if not num:
+            raise ZeroDivisionError("zero to the negative power %d" % (n,))
+        if num < 0:
+            num, den = -num, -den
+        return _rat(den ** -n, num ** -n)
+
+    def __bool__(a):
+        # an int numerator: no bool() call needed
+        return a._numerator != 0
+
+
+_RZERO = _rat(0, 1)
+_RONE = _rat(1, 1)
 
 
 def _coef(c):
@@ -461,7 +623,7 @@ class QConfig:
             if isinstance(q_value, float):
                 raise ConfigError("fixed q must be exact, not the float %r"
                                   % (q_value,))
-            q_value = Fraction(q_value)
+            q_value = Rat(q_value)
             if q_value == 0 or q_value == -1 or (q_value == 1 and not allow_unit):
                 raise ConfigError("fixed q must avoid 0 and +/-1 (got %s)" % (q_value,))
         else:
@@ -485,17 +647,16 @@ class QConfig:
         return "symbolic"
 
     def zero(self):
-        return Fraction(0) if self.mode == "fixed" else RatQ(0)
+        return _RZERO if self.mode == "fixed" else RatQ(0)
 
     def one(self):
-        return Fraction(1) if self.mode == "fixed" else RatQ(1)
+        return _RONE if self.mode == "fixed" else RatQ(1)
 
     def q(self):
         return self.q_value if self.mode == "fixed" else RatQ.q_power(1)
 
     def from_fraction(self, c):
-        c = Fraction(c)
-        return c if self.mode == "fixed" else RatQ(c)
+        return Rat(c) if self.mode == "fixed" else RatQ(Fraction(c))
 
     def qpow(self, n):
         if self.mode == "fixed":
@@ -507,7 +668,7 @@ class QConfig:
         if k < 0:
             raise ValueError("qnum needs k >= 0")
         if self.mode == "fixed":
-            acc = Fraction(0)
+            acc = _RZERO
             for i in range(k):
                 acc += self.q_value ** (k - 1 - 2 * i)
             return acc
@@ -526,7 +687,7 @@ def inv(a):
         return a._inverse()
     if isinstance(a, int):
         # keep +/-1 backend-neutral so mixed matrices stay pure
-        return a if a in (1, -1) else Fraction(1, a)
+        return a if a in (1, -1) else Rat(1, a)
     return 1 / a
 
 

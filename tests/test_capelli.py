@@ -45,8 +45,8 @@ from qcapelli.ncalg import NCPoly, m_char
 from qcapelli.qlinalg import QMatrix, rank_factor, rows_times
 from qcapelli.rcatalog import dj, flip, load
 from qcapelli.rewrite import DegreeCapError, Rewriter, normal_order
-from qcapelli.scalar import QConfig, scalar_to_text
-from test_rcatalog import conjugate
+from qcapelli.scalar import QConfig, Rat, RatQ, scalar_to_text
+from test_rcatalog import conjugate, write_symmetry
 from test_rewrite import matrix_copies
 
 
@@ -547,6 +547,21 @@ def test_cap1_records_reversed_order_without_gating():
     assert rep.details["reversed_order"] in ("pass", "fail")
 
 
+@pytest.mark.parametrize("verify", [
+    lambda ctx: verify_matrix_identity(ctx, 2, "column"), verify_cap1])
+def test_reduction_time_is_the_time_spent_reducing(verify):
+    ctx = RewriteContext(dj(2))
+    t0 = time.perf_counter()
+    rep = verify(ctx)
+    elapsed = 1000 * (time.perf_counter() - t0)
+    timings = rep.timings_ms
+    assert set(timings) == {"build", "reduction"}
+    assert timings["reduction"] > 0 and timings["build"] > 0
+    assert timings["reduction"] == pytest.approx(1000 * ctx.reduce_s,
+                                                 abs=1e-3)
+    assert timings["build"] + timings["reduction"] <= elapsed + 1e-3
+
+
 def test_determinant_forms_and_centrality():
     rep = verify_determinants(ctx_for("dj2"))
     assert rep.passed()
@@ -874,3 +889,62 @@ def test_specialization_guard_is_reported(tmp_path):
     for sym in (dj(2), flip(2)):
         rep = verify_mre(RewriteContext(sym))
         assert rep.details["specialization_guard"] == "not applicable"
+
+
+def scalar_leaves(x, seen=None):
+    """Every scalar reachable from x through containers, dict keys and
+    values, and the slots and attributes of objects (NCPoly terms, QMatrix
+    rows, rewriter memos, ...); a RatQ is one scalar."""
+    seen = set() if seen is None else seen
+    if isinstance(x, (int, Fraction, RatQ)) and type(x) is not bool:
+        yield x
+        return
+    if x is None or isinstance(x, (str, bool)) or id(x) in seen:
+        return
+    seen.add(id(x))
+    if isinstance(x, dict):
+        items = [v for kv in x.items() for v in kv]
+    elif isinstance(x, (list, tuple, set, frozenset)):
+        items = list(x)
+    else:
+        slots = [s for cls in type(x).__mro__
+                 for s in getattr(cls, "__slots__", ())]
+        items = [getattr(x, s) for s in slots if hasattr(x, s)]
+        items += list(getattr(x, "__dict__", {}).values())
+    for v in items:
+        yield from scalar_leaves(v, seen)
+
+
+@pytest.mark.parametrize("label", ["dj2", "dj2q", "dj3q", "flip2", "file"])
+def test_every_scalar_is_an_int_or_of_the_backend_type(label, tmp_path):
+    """A plain Fraction on the fixed path is never wrong, only slow, so
+    only a test can see it: every scalar of the symmetry (R, R_inv, the
+    skew-inverse data, the towers), the exchange table, both degree-2
+    rule tables, both completed systems and the residual rows of a
+    wrong-shift control is an int or of the backend's type (Rat when q is
+    fixed, RatQ when symbolic)."""
+    if label == "file":
+        path = tmp_path / "conj.rmx"
+        write_symmetry(conjugate(2, [[2, 1], [1, 1]]), path)
+        sym = load(str(path))
+    else:
+        sym = {"dj2": lambda: dj(2),
+               "dj2q": lambda: dj(2, QConfig.fixed(Fraction(5, 3))),
+               "dj3q": lambda: dj(3, QConfig.fixed(Fraction(3, 5))),
+               "flip2": lambda: flip(2)}[label]()
+    cfg = sym.q_config
+    backend = Rat if cfg.mode == "fixed" else RatQ
+    ctx = RewriteContext(sym)
+    assert verify_matrix_identity(ctx, 2, "column").passed()
+    wrong = shift_value(cfg, 2, "column") + cfg.one()
+    ident = ProjectorIdentity(sym, 2, "column", alpha=wrong)
+    rows = [[a - b for a, b in zip(lhs, rhs)]
+            for (lhs,), (rhs,) in (theorem_sides(ctx, ident, [row])
+                                   for row in ident.e)]
+    assert any(v for row in rows for v in row)
+    objects = [sym, ctx.table, ctx._rules["m"], ctx._rules["d"],
+               ctx.system("m", 2), ctx.system("d", 2), ident, rows]
+    leaves = list(scalar_leaves(objects))
+    assert any(type(c) is backend for c in leaves)
+    bad = {type(c).__name__ for c in leaves if type(c) not in (int, backend)}
+    assert not bad

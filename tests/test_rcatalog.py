@@ -251,14 +251,21 @@ def test_unipotent_conjugate_of_dj3_factorization():
     assert_factorization_holds(conjugate(3, UNIPOTENT_3))
 
 
-def test_conjugate_verifies_from_a_file(tmp_path):
-    sym = conjugate(2, [[2, 1], [1, 1]])
-    entries = [{"i": r // 2 + 1, "j": r % 2 + 1, "k": c // 2 + 1,
-                "l": c % 2 + 1, "value": str(v)}
+def write_symmetry(sym, path):
+    """Write a fixed-q symmetry as the JSON record rcatalog.load reads."""
+    N = sym.N
+    entries = [{"i": r // N + 1, "j": r % N + 1, "k": c // N + 1,
+                "l": c % N + 1, "value": str(v)}
                for r, row in enumerate(sym.R.rows)
                for c, v in enumerate(row) if v]
+    path.write_text(json.dumps({"N": N, "q": str(sym.q_config.q_value),
+                                "entries": entries}))
+
+
+def test_conjugate_verifies_from_a_file(tmp_path):
+    sym = conjugate(2, [[2, 1], [1, 1]])
     path = tmp_path / "conj.rmx"
-    path.write_text(json.dumps({"N": 2, "q": str(Q), "entries": entries}))
+    write_symmetry(sym, path)
     assert load(str(path)).R == sym.R
     for ident in ("th", "th-s"):
         code = main(["verify", "--rmatrix", "file:%s" % path,

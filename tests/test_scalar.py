@@ -1,12 +1,19 @@
+import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from qcapelli.ncalg import NCPoly
 from qcapelli.scalar import (
     BackendMismatch,
     LaurentPoly,
     QConfig,
+    Rat,
     RatQ,
     ScalarError,
     ScalarParseError,
@@ -332,3 +339,111 @@ def test_arithmetic_matches_the_general_constructor():
                 if n < 0:
                     ref = RatQ(ref.den, ref.num)
                 assert got == ref and hash(got) == hash(ref)
+
+
+# --- the fixed backend's Rat ----------------------------------------------
+
+
+def rat_operands(rng):
+    """Each value of a pool as a Fraction and a Rat, and as an int when it
+    is one: zero, units, other ints, denominator 1, equal denominators
+    (x/6), coprime denominators (3/5, -5/7) and denominators that share a
+    factor (2/9, 4/15, -3/10, 25/12), plus seeded random values whose
+    denominators are products of small primes."""
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+              Fraction(-7), Fraction(12), Fraction(1, 6), Fraction(5, 6),
+              Fraction(-7, 6), Fraction(3, 5), Fraction(-5, 7),
+              Fraction(2, 9), Fraction(4, 15), Fraction(-3, 10),
+              Fraction(25, 12)]
+    for _ in range(8):
+        den = rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 15, 35))
+        values.append(Fraction(rng.randint(-40, 40), den))
+    out = []
+    for v in values:
+        out += [v, Rat(v)]
+        if v.denominator == 1:
+            out.append(v.numerator)
+    return out
+
+
+def assert_lowest_terms(x, ref):
+    assert x == ref and hash(x) == hash(ref)
+    assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def test_rat_matches_fraction():
+    rng = random.Random(26)
+    pool = rat_operands(rng)
+    for x in pool:
+        for y in pool:
+            has_rat = Rat in (type(x), type(y))
+            if not has_rat:
+                continue
+            fx, fy = Fraction(x), Fraction(y)
+            for op in BINARY_OPS:
+                if op is operator.truediv and not fy:
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+                    continue
+                got = op(x, y)
+                assert_lowest_terms(got, op(fx, fy))
+                assert type(got) is Rat
+        if type(x) is Rat:
+            assert_lowest_terms(-x, -Fraction(x))
+            assert type(-x) is Rat
+            assert bool(x) is bool(Fraction(x))
+            for n in (-3, -1, 0, 1, 2, 5):
+                if n < 0 and not x:
+                    with pytest.raises(ZeroDivisionError):
+                        x ** n
+                    continue
+                got = x ** n
+                assert_lowest_terms(got, Fraction(x) ** n)
+                assert type(got) is Rat
+
+
+def test_rat_times_one_is_itself():
+    for a in (Rat(3, 5), Rat(-7), Rat(0), Rat(1)):
+        for one in (1, Rat(1)):
+            assert a * one == a and one * a == a
+        assert a * 1 is a
+        assert 1 * a is a
+
+
+def test_rat_refuses_symbolic_scalars_and_leaves_polynomials_to_ncpoly():
+    a, s = Rat(2, 3), RatQ.q_power(1)
+    for op in BINARY_OPS:
+        with pytest.raises(BackendMismatch):
+            op(a, s)
+        with pytest.raises(BackendMismatch):
+            op(s, a)
+    p = NCPoly.from_word("A", Rat(1, 2))
+    for got in (a * p, p * a):
+        assert got.terms == {"A": Fraction(1, 3)}
+        assert type(got.terms["A"]) is Rat
+    assert (a + p).terms == {"": a, "A": Fraction(1, 2)}
+    assert (a - p).terms == {"": a, "A": Fraction(-1, 2)}
+
+
+def test_fixed_scalars_come_from_qconfig_as_rat():
+    cfg = QConfig.fixed(Fraction(3, 5))
+    for x in (cfg.q_value, cfg.q(), cfg.zero(), cfg.one(), cfg.qpow(-2),
+              cfg.from_fraction(Fraction(7, 4)), cfg.from_fraction(3),
+              cfg.qnum(3), cfg.parse("(q^2 - 1)/(2*q)")):
+        assert type(x) is Rat
+    assert cfg.qnum(2) == Fraction(3, 5) + Fraction(5, 3)
+
+
+def test_an_unknown_fraction_layout_fails_at_import():
+    code = ("import fractions\n"
+            "fractions.Fraction.__slots__ = ('_n', '_d')\n"
+            "import qcapelli.scalar\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "ScalarError" in done.stderr and "_numerator" in done.stderr

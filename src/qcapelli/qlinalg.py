@@ -16,15 +16,14 @@ and the degree-2 rule tables of rewrite are read off it.
 
 The q-antisymmetrizer and q-symmetrizer towers grow one level at a time
 by tower_step; their holder (rcatalog.HeckeSymmetry) keeps the levels.
-rank_of reads the rank off such a tower and skew_inverse takes the top
-antisymmetrizer from its caller, so neither builds a projector.  The
-skew inverse Psi comes from one inversion of a reshuffle of R, and its
-calibrated partial trace is the trace weight C.
+rank_of reads (rank, image dimensions) off such a tower and skew_inverse,
+which returns (Psi, C), takes the top antisymmetrizer from its caller, so
+neither builds a projector.  The skew inverse Psi comes from one
+inversion of a reshuffle of R, and its calibrated partial trace is the
+trace weight C.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .scalar import inv as scalar_inv
 
@@ -292,18 +291,6 @@ def check_hecke(R, cfg):
     return lhs.is_zero()
 
 
-@dataclass
-class SkewInverseData:
-    psi: QMatrix
-    c_matrix: QMatrix
-
-
-@dataclass
-class RankReport:
-    rank: int
-    dims: list
-
-
 def _flip_matrix(N):
     out = QMatrix.zeros(N, 2)
     for a in range(N):
@@ -315,7 +302,8 @@ def _flip_matrix(N):
 def skew_inverse(R, a_top, cfg):
     """Solve Tr_2(R_12 Psi_23) = P_13 for Psi and pick the partial trace
     of Psi that is the trace weight C: the one whose normalization
-    <A^(m)> = q^(-m^2) holds on the top antisymmetrizer a_top = A^(m)."""
+    <A^(m)> = q^(-m^2) holds on the top antisymmetrizer a_top = A^(m).
+    Returns (Psi, C)."""
     N = R.N
     # reshuffle legs so the defining contraction becomes matrix inversion
     t = QMatrix.zeros(N, 2)
@@ -345,7 +333,7 @@ def skew_inverse(R, a_top, cfg):
     target = cfg.qpow(-m * m)
     for weight in (partial_trace(psi, 1, ident), partial_trace(psi, 2, ident)):
         if r_trace(a_top, weight) == target:
-            return SkewInverseData(psi=psi, c_matrix=weight)
+            return psi, weight
     raise CalibrationError("neither partial trace satisfies the normalization")
 
 
@@ -365,8 +353,8 @@ def tower_step(R, prev, cfg, sign):
 
 def rank_of(antisym, N, cap=6):
     """Smallest m with a rank-one A^(m) and a vanishing A^(m+1), read off
-    the tower antisym(k) = A^(k) on an N-dimensional space; dims records
-    dim Im A^(k) for k = 1 .. m+1."""
+    the tower antisym(k) = A^(k) on an N-dimensional space.  Returns
+    (m, dims), where dims records dim Im A^(k) for k = 1 .. m+1."""
     dims = [N]
     prev = N
     for k in range(2, cap + 2):
@@ -376,7 +364,7 @@ def rank_of(antisym, N, cap=6):
             if prev != 1:
                 raise RankError(
                     "antisymmetrizer tower collapses without passing rank one")
-            return RankReport(rank=k - 1, dims=dims)
+            return k - 1, dims
         prev = d
     raise RankError("rank exceeds the probe cap %d" % (cap,))
 

@@ -1,9 +1,10 @@
 """Catalog of Hecke symmetries, validated at construction.
 
-Every symmetry that enters the engine passes the same gate: braid
-relation, Hecke condition, a finite-rank probe of the antisymmetrizer
-tower, and skew-invertibility (with trace-weight calibration on the top
-antisymmetrizer).  Each symmetry holds its two projector towers, the
+A HeckeSymmetry runs four gates as it is built: braid relation, Hecke
+condition, a finite-rank probe of the antisymmetrizer tower, and
+skew-invertibility (with trace-weight calibration on the top
+antisymmetrizer).  A failed gate raises, so no unvalidated symmetry
+exists.  Each symmetry holds its two projector towers, the
 q-antisymmetrizers A^(k) and the q-symmetrizers S^(k), and builds each
 level once: the rank probe, the calibration and every later caller read
 the same levels.
@@ -43,32 +44,39 @@ class CatalogValidationError(CatalogError):
 
 
 class HeckeSymmetry:
-    """A validated Hecke symmetry bundled with its derived data.
+    """A Hecke symmetry that has passed the four gates, bundled with what
+    they found.
 
-    Built only once R has passed the Hecke check, whose
-    (q I - R)(q^(-1) I + R) = 0 gives R^(-1) = R - (q - q^(-1)) I.
-    validate_symmetry fills in rank_report and skew."""
+    The gates run in order, and the first that fails raises a
+    CatalogValidationError naming it: braid; Hecke, whose
+    (q I - R)(q^(-1) I + R) = 0 gives R^(-1) = R - (q - q^(-1)) I; the
+    rank probe, which sets rank and rank_dims (dim Im A^(k) for k = 1 ..
+    rank+1); and skew-invertibility, which sets the skew inverse psi and
+    the trace weight c_matrix."""
 
     def __init__(self, name, R, q_config, rebuilder=None):
+        if not check_braid(R):
+            raise CatalogValidationError(name, "braid")
+        if not check_hecke(R, q_config):
+            raise CatalogValidationError(name, "hecke")
         self.name = name
         self.N = R.N
         self.R = R
         self.q_config = q_config
-        self.skew = None
-        self.rank_report = None
         self.R_inv = R - QMatrix.identity(R.N, 2).scale(
             q_config.qpow(1) - q_config.qpow(-1))
         self._rebuilder = rebuilder
         self._anti = [QMatrix.identity(R.N, 1)]
         self._symm = [QMatrix.identity(R.N, 1)]
-
-    @property
-    def rank(self):
-        return self.rank_report.rank
-
-    @property
-    def c_matrix(self):
-        return self.skew.c_matrix
+        try:
+            self.rank, self.rank_dims = rank_of(self.antisym, self.N)
+        except QLinError as e:
+            raise CatalogValidationError(name, "rank", str(e))
+        try:
+            self.psi, self.c_matrix = skew_inverse(
+                R, self.antisym(self.rank), q_config)
+        except QLinError as e:
+            raise CatalogValidationError(name, "skew-invertibility", str(e))
 
     def _level(self, tower, k, sign):
         if k < 1:
@@ -96,23 +104,6 @@ class HeckeSymmetry:
     def __repr__(self):
         return "HeckeSymmetry(%r, N=%d, %s)" % (
             self.name, self.N, self.q_config.describe())
-
-
-def validate_symmetry(R, cfg, name, rebuilder=None):
-    if not check_braid(R):
-        raise CatalogValidationError(name, "braid")
-    if not check_hecke(R, cfg):
-        raise CatalogValidationError(name, "hecke")
-    sym = HeckeSymmetry(name, R, cfg, rebuilder)
-    try:
-        sym.rank_report = rank_of(sym.antisym, sym.N)
-    except QLinError as e:
-        raise CatalogValidationError(name, "rank", str(e))
-    try:
-        sym.skew = skew_inverse(R, sym.antisym(sym.rank), cfg)
-    except QLinError as e:
-        raise CatalogValidationError(name, "skew-invertibility", str(e))
-    return sym
 
 
 def _is_int(x):
@@ -144,8 +135,7 @@ def dj(N, cfg=None):
                 R.rows[a * N + b][b * N + a] = cfg.one()
                 if a < b:
                     R.rows[a * N + b][a * N + b] = hop
-    return validate_symmetry(R, cfg, "dj(%d)" % N,
-                             rebuilder=lambda c: dj(N, c))
+    return HeckeSymmetry("dj(%d)" % N, R, cfg, rebuilder=lambda c: dj(N, c))
 
 
 def flip(N):
@@ -155,7 +145,7 @@ def flip(N):
     for a in range(N):
         for b in range(N):
             R.rows[a * N + b][b * N + a] = cfg.one()
-    return validate_symmetry(R, cfg, "flip(%d)" % N)
+    return HeckeSymmetry("flip(%d)" % N, R, cfg)
 
 
 def load(path):
@@ -205,4 +195,4 @@ def load(path):
                                "1..%d in %r" % (path, N, ent))
         R.rows[(i - 1) * N + (j - 1)][(k - 1) * N + (l - 1)] = \
             parse_scalar(str(value), cfg)
-    return validate_symmetry(R, cfg, "file:%s" % (os.path.basename(path),))
+    return HeckeSymmetry("file:%s" % (os.path.basename(path),), R, cfg)

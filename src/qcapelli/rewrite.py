@@ -160,7 +160,7 @@ def derive_exchange(sym):
     the rule for d_a^x m_u^e is Psi[(f,u)][(c,x)].
     """
     N = sym.N
-    psi = sym.skew.psi
+    psi = sym.psi
     rhs = _permutation_relation(sym)[2]
 
     rules = {}

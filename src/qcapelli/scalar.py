@@ -703,7 +703,12 @@ def is_zero(a):
 # atom   := integer | 'q' | '(' expr ')'
 # exponent := integer | '(' '-'? integer ')'
 #
-# Negative exponents must be parenthesized: q^(-1).
+# Negative exponents must be parenthesized: q^(-1).  Digits are the ASCII
+# 0-9 alone: str.isdigit also admits superscripts and other scripts' digits.
+
+
+def _is_digit(ch):
+    return "0" <= ch <= "9"
 
 
 class _Parser:
@@ -734,7 +739,7 @@ class _Parser:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
@@ -789,7 +794,7 @@ class _Parser:
         if ch == "q":
             self.pos += 1
             return self.cfg.q()
-        if ch.isdigit():
+        if _is_digit(ch):
             return self.cfg.from_fraction(self.integer())
         self.error("expected a number, 'q', or '('")
 

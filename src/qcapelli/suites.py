@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import time
+from dataclasses import dataclass
 
 from .capelli import (
     RewriteContext,
@@ -28,23 +29,21 @@ from .capelli import (
     verify_traced,
 )
 from .qlinalg import QMatrix, embed
-from .rcatalog import CatalogValidationError, dj, flip, validate_symmetry
+from .rcatalog import CatalogValidationError, HeckeSymmetry, dj, flip
 from .rewrite import exchange_round_trip_ok
 from .scalar import QConfig
 
 FIXED_Q = "3/5"
 
 
+@dataclass(slots=True)
 class CriterionResult:
-    __slots__ = ("number", "label", "ok", "seconds", "checks", "reports")
-
-    def __init__(self, number, label, ok, seconds, checks, reports):
-        self.number = number
-        self.label = label
-        self.ok = ok
-        self.seconds = seconds
-        self.checks = checks
-        self.reports = reports
+    number: int
+    label: str
+    ok: bool
+    seconds: float
+    checks: list
+    reports: list
 
     def line(self):
         word = "PASS" if self.ok else "FAIL"
@@ -101,7 +100,7 @@ def criterion(number, label):
 @criterion(1, "braiding validation")
 def crit_1():
     """The expected rank of each catalog symmetry, and one N = 2 matrix at
-    q = 3/5 per gate of validate_symmetry that the gate must reject and
+    q = 3/5 per gate of HeckeSymmetry that the gate must reject and
     every earlier gate accepts, told apart by the check it names."""
     for label, want_rank in (("dj1", 1), ("dj2q", 2), ("dj3q", 3),
                              ("flip2", 2)):
@@ -116,7 +115,7 @@ def crit_1():
             ("hecke", "flip(2)", _sym("flip2").R),
             ("rank", "q I", QMatrix.identity(2, 2).scale(dj2.q_config.q()))):
         try:
-            validate_symmetry(R, dj2.q_config, name)
+            HeckeSymmetry(name, R, dj2.q_config)
             check = None
         except CatalogValidationError as e:
             check = e.check

@@ -10,7 +10,7 @@ import os
 import pytest
 
 from qcapelli import rcatalog, suites
-from qcapelli.qlinalg import QMatrix, RankError, RankReport
+from qcapelli.qlinalg import QMatrix, RankError
 
 # Ten times the slowest of four runs of each criterion alone on a 2-core
 # VM (Python 3.11.7), rounded up to whole seconds, at least 5 s.
@@ -41,7 +41,7 @@ def _refuse(*args):
     # past the Hecke gate, the flip at q = 3/5 has a tower that never
     # vanishes; the refusing probe turns it away quickly, as "rank"
     ("hecke", {"check_hecke": lambda R, cfg: True, "rank_of": _refuse}),
-    ("rank", {"rank_of": lambda antisym, N: RankReport(1, [N])})])
+    ("rank", {"rank_of": lambda antisym, N: (1, [N])})])
 def test_criterion_01_fails_when_a_gate_lets_its_control_through(
         monkeypatch, gate, patches):
     # build the catalog symmetries first, through the unpatched gates
@@ -68,7 +68,7 @@ def test_criterion_03_trace_normalization():
 def test_criterion_03_fails_under_the_plain_trace(monkeypatch, label, top):
     # the control: weight I in place of C misses the top quantum dimension
     sym = suites._sym(label)
-    monkeypatch.setattr(sym.skew, "c_matrix", QMatrix.identity(sym.N, 1))
+    monkeypatch.setattr(sym, "c_matrix", QMatrix.identity(sym.N, 1))
     res = suites.crit_3()
     failed = [name for name, good in res.checks if not good]
     assert not res.ok

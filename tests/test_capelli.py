@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcapelli import capelli, weyl
+from qcapelli import capelli, rewrite, weyl
 from qcapelli.capelli import (
     ProjectorIdentity,
     RewriteContext,
@@ -548,7 +548,8 @@ def test_cap1_records_reversed_order_without_gating():
 
 
 @pytest.mark.parametrize("verify", [
-    lambda ctx: verify_matrix_identity(ctx, 2, "column"), verify_cap1])
+    lambda ctx: verify_matrix_identity(ctx, 2, "column"), verify_cap1,
+    verify_determinants])
 def test_reduction_time_is_the_time_spent_reducing(verify):
     ctx = RewriteContext(dj(2))
     t0 = time.perf_counter()
@@ -584,6 +585,22 @@ def test_centrality_check_catches_a_noncentral_element(monkeypatch):
     assert all(s["entry"][0] == "central-m" for s in rep.residual_sample)
 
 
+def test_determinant_forms_that_disagree_report_their_reduction_time(
+        monkeypatch):
+    def disagree(ctx, top, kind):
+        ctx.reduce_poly(NCPoly.from_word(m_char(1, 1, 2), 1))
+        raise VerifyError("forms differ")
+
+    monkeypatch.setattr(capelli, "_det", disagree)
+    ctx = RewriteContext(dj(2))
+    rep = verify_determinants(ctx)
+    assert not rep.passed()
+    assert rep.residual_sample[0]["entry"] == ["forms"]
+    assert set(rep.timings_ms) == {"build", "reduction"}
+    assert rep.timings_ms["reduction"] == pytest.approx(1000 * ctx.reduce_s,
+                                                        abs=1e-3)
+
+
 def test_determinant_forms_dj3_fixed():
     assert verify_determinants(ctx_for("dj3q")).passed()
 
@@ -599,6 +616,20 @@ def test_re_ideal():
 @pytest.mark.parametrize("label", ["dj2q", "dj3q", "conj2"])
 def test_re_ideal_other_symmetries(label):
     assert verify_re_ideal(ctx_for(label)).passed()
+
+
+def test_re_ideal_normal_orders_through_the_rewrite_module(monkeypatch):
+    # a wrapper bound on rewrite.normal_order sees every call re-ideal makes
+    calls = []
+    plain = rewrite.normal_order
+
+    def counted(x, table):
+        calls.append(x)
+        return plain(x, table)
+
+    monkeypatch.setattr(rewrite, "normal_order", counted)
+    assert verify_re_ideal(RewriteContext(dj(2))).passed()
+    assert len(calls) > 0
 
 
 @pytest.mark.parametrize("label,nonzero", [("dj2", 48), ("dj2q", 48),

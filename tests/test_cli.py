@@ -258,7 +258,7 @@ def test_crash_in_a_suite_check_is_not_a_verdict(monkeypatch):
     def broken(*args):
         raise TypeError("boom")
 
-    monkeypatch.setattr(suites, "validate_symmetry", broken)
+    monkeypatch.setattr(suites, "HeckeSymmetry", broken)
     code, text = run(["suite", "full"])
     assert code == EXIT_INTERNAL
     assert "internal error: TypeError: boom" in text
@@ -326,6 +326,25 @@ def test_bad_q_is_config_error():
 def test_bad_alpha_is_config_error():
     code, text = run(["verify", "--identity", "th", "--alpha", "q^^"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("alpha, position", [("q^\u00b2", 2),
+                                             ("\u0663", 0)])
+def test_non_ascii_digit_in_alpha_is_config_error(alpha, position):
+    code, text = run(["verify", "--identity", "th", "--alpha", alpha])
+    assert code == EXIT_CONFIG, text
+    assert text.startswith("configuration error"), text
+    assert "(at position %d)" % position in text, text
+
+
+@pytest.mark.parametrize("command", ["verify", "validate"])
+def test_non_ascii_digit_in_rmatrix_entry_is_config_error(tmp_path, command):
+    entries = [{"i": 1, "j": 1, "k": 1, "l": 1, "value": "q^\u00b2"}]
+    source = _dj2_file(tmp_path / "sup.rmx", entries=entries)
+    code, text = run([command, "--rmatrix", source])
+    assert code == EXIT_CONFIG, text
+    assert text.startswith("configuration error"), text
+    assert "(at position 2)" in text, text
 
 
 @pytest.mark.parametrize("argv", [

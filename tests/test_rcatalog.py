@@ -9,14 +9,20 @@ from qcapelli import rcatalog
 from qcapelli.capelli import RewriteContext, verify_matrix_identity
 from qcapelli.cli import EXIT_PASS, main
 from qcapelli.ncalg import gen_matrix
-from qcapelli.qlinalg import QMatrix, embed, matrix_inverse, tower_step
+from qcapelli.qlinalg import (
+    QMatrix,
+    SkewInverseError,
+    embed,
+    matrix_inverse,
+    tower_step,
+)
 from qcapelli.rcatalog import (
     CatalogError,
     CatalogValidationError,
+    HeckeSymmetry,
     dj,
     flip,
     load,
-    validate_symmetry,
 )
 from qcapelli.rewrite import complete, derive_dd_rules, derive_re_rules
 from qcapelli.scalar import QConfig
@@ -43,7 +49,7 @@ def test_dj_small_matrices():
 def test_dj3_rank():
     sym = dj(3, QConfig.fixed(Fraction(3, 5)))
     assert sym.rank == 3
-    assert sym.rank_report.dims == [3, 3, 1, 0]
+    assert sym.rank_dims == [3, 3, 1, 0]
 
 
 def test_each_tower_level_is_built_once(monkeypatch):
@@ -63,6 +69,44 @@ def test_each_tower_level_is_built_once(monkeypatch):
     sym.ssym(3)
     sym.ssym(2)
     assert steps == {-1: 3, 1: 2}
+
+
+def test_a_symmetry_keeps_what_its_gates_found():
+    sym = dj(2, QConfig.fixed(Fraction(3, 5)))
+    assert (sym.rank, sym.rank_dims) == (2, [2, 1, 0])
+    assert sym.psi.p == 2 and sym.c_matrix.p == 1
+    assert not hasattr(sym, "skew") and not hasattr(sym, "rank_report")
+
+
+@pytest.mark.parametrize("gate", ["braid", "hecke", "rank",
+                                  "skew-invertibility"])
+def test_no_symmetry_is_built_past_a_failed_gate(monkeypatch, gate):
+    # criterion 1's controls for the first three gates, at q = 3/5; the
+    # skew gate is made to refuse dj(2), which tests its wiring only
+    cfg = QConfig.fixed(Fraction(3, 5))
+    dj2 = dj(2, cfg)
+    g = embed(QMatrix(2, 1, [[1, 1], [0, 1]]), 1, 2)
+    g_inv = embed(QMatrix(2, 1, [[1, -1], [0, 1]]), 1, 2)
+    R = {"braid": g * dj2.R * g_inv,
+         "hecke": flip(2).R,
+         "rank": QMatrix.identity(2, 2).scale(cfg.q()),
+         "skew-invertibility": dj2.R}[gate]
+    reached = []
+
+    def refuse(R, a_top, cfg):
+        reached.append(a_top.p)
+        raise SkewInverseError("refused")
+
+    monkeypatch.setattr(rcatalog, "skew_inverse", refuse)
+    built = []
+    with pytest.raises(CatalogValidationError) as err:
+        built.append(HeckeSymmetry("control", R, cfg))
+    assert err.value.check == gate
+    assert "'control' failed the %s check" % gate in str(err.value)
+    assert built == []
+    # gates run in order: the skew gate runs, on A^(2), only when the
+    # three before it pass
+    assert reached == ([2] if gate == "skew-invertibility" else [])
 
 
 def test_flip_is_involutive_at_unit_q():
@@ -188,7 +232,7 @@ def conjugate(N, G):
                          for c in range(N) for d in range(N)]
                         for a in range(N) for b in range(N)])
     R = GG * dj(N, QConfig.fixed(Q)).R * matrix_inverse(GG)
-    return validate_symmetry(R, QConfig.fixed(Q), "conj(%d, %s)" % (N, G))
+    return HeckeSymmetry("conj(%d, %s)" % (N, G), R, QConfig.fixed(Q))
 
 
 def twist(N, t):
@@ -198,7 +242,7 @@ def twist(N, t):
         for b in range(N):
             if a != b:
                 R.rows[a * N + b][b * N + a] = t if a < b else 1 / t
-    return validate_symmetry(R, QConfig.fixed(Q), "twist(%d, %s)" % (N, t))
+    return HeckeSymmetry("twist(%d, %s)" % (N, t), R, QConfig.fixed(Q))
 
 
 def seeded_invertible(seed, N=2):

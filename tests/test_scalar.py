@@ -176,6 +176,19 @@ def test_parser_errors_carry_position():
         assert e.position == 4
 
 
+@pytest.mark.parametrize("text, position", [
+    ("q^\u00b2", 2),        # superscript two
+    ("\u0663", 0),          # Arabic-Indic three
+    ("2\u0663", 1),
+    ("q^(-\u00b9)", 4),
+])
+def test_only_ascii_digits_are_digits(text, position):
+    for cfg in (QConfig.symbolic(), QConfig.fixed("3/5")):
+        with pytest.raises(ScalarParseError) as err:
+            parse_scalar(text, cfg)
+        assert err.value.position == position
+
+
 def test_pole_and_zero_division():
     sym = QConfig.symbolic()
     s = parse_scalar("1/(q - 1)", sym)
